@@ -153,7 +153,7 @@ void BM_Lattice_Sweep(benchmark::State& state) {
   }
 
   std::int64_t cost = 0;
-  for (const auto& row : rows) cost += row.cost;
+  for (const auto& row : rows) cost += row.verdict.cost;
   state.counters["threads"] = static_cast<double>(threads);
   state.counters["jobs"] = static_cast<double>(jobs.size());
 

@@ -11,9 +11,9 @@
 //   $ ./db_locking [readers] [writers] [rounds] [violation_prob] [seed]
 #include <cstdlib>
 #include <iostream>
+#include <string>
 
-#include "detect/direct_dep.h"
-#include "detect/token_vc.h"
+#include "detect/registry.h"
 #include "workload/db_workload.h"
 
 int main(int argc, char** argv) {
@@ -37,19 +37,15 @@ int main(int argc, char** argv) {
   std::cout << "ground truth: incompatible grant "
             << (db.violation_injected ? "INJECTED" : "absent") << "\n\n";
 
-  detect::RunOptions opts;
-  opts.seed = spec.seed;
-  opts.latency = sim::LatencyModel::uniform(1, 6);
-
-  const auto token = detect::run_token_vc(comp, opts);
-  const auto direct = detect::run_direct_dep(comp, opts);
-
-  std::cout << "token-VC  (n=" << n << " monitors): " << token << "\n"
-            << "  monitor traffic: " << token.monitor_metrics.summary()
-            << "\n";
-  std::cout << "direct-dep (N=" << N << " monitors): " << direct << "\n"
-            << "  monitor traffic: " << direct.monitor_metrics.summary()
-            << "\n\n";
+  detect::DetectParams params;
+  params.seed = spec.seed;
+  const auto token = detect::run_detector(comp, "token", params);
+  const auto direct = detect::run_detector(comp, "dd", params);
+  detect::write_verdict_text(
+      std::cout, "token-VC   (n=" + std::to_string(n) + " monitors)", token);
+  detect::write_verdict_text(
+      std::cout, "direct-dep (N=" + std::to_string(N) + " monitors)", direct);
+  std::cout << "\n";
 
   if (token.detected != db.violation_injected ||
       direct.detected != db.violation_injected) {
@@ -67,10 +63,10 @@ int main(int argc, char** argv) {
 
   std::cout << "\nn-vs-N trade-off on this run:\n"
             << "  token-VC monitor messages:   "
-            << token.monitor_metrics.total_messages() << " (predicate "
+            << token.run->monitor_metrics.total_messages() << " (predicate "
             << "processes only)\n"
             << "  direct-dep monitor messages: "
-            << direct.monitor_metrics.total_messages() << " (all " << N
+            << direct.run->monitor_metrics.total_messages() << " (all " << N
             << " processes participate)\n";
   return 0;
 }

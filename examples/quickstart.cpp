@@ -1,15 +1,11 @@
 // Quickstart: build a tiny distributed computation, define a weak
 // conjunctive predicate over it, and detect the first cut where it holds,
-// using each of the paper's algorithms.
+// using each of the paper's algorithms and the baselines.
 //
 //   $ ./quickstart
 #include <iostream>
 
-#include "detect/centralized.h"
-#include "detect/direct_dep.h"
-#include "detect/lattice.h"
-#include "detect/multi_token.h"
-#include "detect/token_vc.h"
+#include "detect/registry.h"
 #include "trace/computation.h"
 
 int main() {
@@ -35,42 +31,11 @@ int main() {
 
   std::cout << "computation: " << comp << "\n";
 
-  // Offline reference: the pointwise-minimal WCP cut.
-  if (const auto cut = comp.first_wcp_cut()) {
-    std::cout << "oracle first WCP cut: (" << (*cut)[0] << ", " << (*cut)[1]
-              << ")\n\n";
-  }
-
-  detect::RunOptions opts;
-  opts.seed = 1;
-  opts.latency = sim::LatencyModel::uniform(1, 5);
-
-  const auto report = [](const char* name, const detect::DetectionResult& r) {
-    std::cout << name << ": " << r << "\n  " << r.monitor_metrics.summary()
-              << "\n";
-  };
-
-  report("single-token vector clock (S3) ", detect::run_token_vc(comp, opts));
-
-  detect::MultiTokenOptions mt;
-  mt.num_groups = 2;
-  report("multi-token, g=2 (S3.5)        ",
-         detect::run_multi_token(comp, opts, mt));
-
-  report("direct dependence (S4)         ",
-         detect::run_direct_dep(comp, opts));
-
-  detect::DdRunOptions par;
-  par.parallel = true;
-  report("parallel direct dependence     ",
-         detect::run_direct_dep(comp, opts, par));
-
-  report("centralized checker (baseline) ",
-         detect::run_centralized(comp, opts));
-
-  const auto lat = detect::detect_lattice(comp);
-  std::cout << "lattice baseline               : "
-            << (lat.detected ? "DETECTED" : "not-detected") << " after "
-            << lat.cuts_explored << " cuts explored\n";
+  // Every detector of the registry, by name — the table behind
+  // `wcp_cli detect --algo`. The oracle is the offline reference: the
+  // pointwise-minimal WCP cut.
+  for (const detect::Detector& d : detect::detectors())
+    detect::write_verdict_text(std::cout, d.name,
+                               detect::run_detector(comp, d.name, {}));
   return 0;
 }

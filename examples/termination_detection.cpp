@@ -32,10 +32,9 @@ int main(int argc, char** argv) {
   const auto& comp = t.computation;
   std::cout << "work diffusion run: " << comp << ", " << t.work_messages
             << " work messages\n";
-  std::cout << "ground-truth termination cut: [";
-  for (std::size_t p = 0; p < t.termination_cut.size(); ++p)
-    std::cout << (p ? "," : "") << t.termination_cut[p];
-  std::cout << "]\n\n";
+  std::cout << "ground-truth termination cut: ";
+  detect::write_cut(std::cout, t.termination_cut);
+  std::cout << "\n\n";
 
   // 1. Local predicates only (plain WCP): "everyone is passive".
   detect::RunOptions opts;
@@ -64,10 +63,9 @@ int main(int argc, char** argv) {
   std::cout << "\nGCP (passive + channels empty): "
             << (gcp.detected ? "DETECTED" : "not-detected");
   if (gcp.detected) {
-    std::cout << " cut=[";
-    for (std::size_t s = 0; s < gcp.cut.size(); ++s)
-      std::cout << (s ? "," : "") << gcp.cut[s];
-    std::cout << "] after " << gcp.eliminations << " eliminations and "
+    std::cout << " cut=";
+    detect::write_cut(std::cout, gcp.cut);
+    std::cout << " after " << gcp.eliminations << " eliminations and "
               << gcp.channel_evals << " channel evaluations";
   }
   std::cout << "\n";

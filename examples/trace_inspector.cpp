@@ -10,9 +10,7 @@
 #include <iostream>
 #include <string>
 
-#include "detect/direct_dep.h"
-#include "detect/lattice.h"
-#include "detect/token_vc.h"
+#include "detect/registry.h"
 #include "trace/diagram.h"
 #include "trace/trace_io.h"
 #include "trace/trace_store.h"
@@ -47,25 +45,10 @@ void analyze(const wcp::Computation& comp) {
   }
   std::cout << render_diagram(comp, dopts);
 
-  std::cout << "\noracle: ";
-  const auto cut = comp.first_wcp_cut();
-  if (cut) {
-    std::cout << "first WCP cut = [";
-    for (std::size_t s = 0; s < cut->size(); ++s)
-      std::cout << (s ? "," : "") << (*cut)[s];
-    std::cout << "]\n";
-  } else {
-    std::cout << "the WCP never holds\n";
-  }
-
-  detect::RunOptions opts;
-  opts.seed = 11;
-  std::cout << "token-VC:   " << detect::run_token_vc(comp, opts) << "\n";
-  std::cout << "direct-dep: " << detect::run_direct_dep(comp, opts) << "\n";
-  const auto lat = detect::detect_lattice(comp, 1'000'000);
-  std::cout << "lattice:    " << (lat.detected ? "DETECTED" : "not-detected")
-            << " (" << lat.cuts_explored << " cuts explored"
-            << (lat.truncated ? ", truncated" : "") << ")\n";
+  std::cout << "\nwhat every detector reports:\n";
+  for (const detect::Detector& d : detect::detectors())
+    detect::write_verdict_text(std::cout, d.name,
+                               detect::run_detector(comp, d.name, {}));
 }
 
 }  // namespace

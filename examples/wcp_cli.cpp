@@ -5,9 +5,9 @@
 //            [--binary]
 //       Generate a random computation and save it as a wcp-trace text file,
 //       or with --binary as a columnar wcp-tracebin file.
-//   detect <in.trace> [--algo token|multi|dd|dd-par|checker|lattice|oracle]
-//          [--groups g] [--seed s]
-//       Run one detector on a trace and print the result + cost metrics.
+//   detect <in.trace> [--algo name] [--groups g] [--seed s] [--json|--verdict]
+//       Run one detector of the registry (detect/registry.h; `wcp_cli`
+//       without arguments lists the names) and print the verdict + costs.
 //   info <in.trace>
 //       Print the trace's shape and the oracle's first WCP cut.
 //
@@ -18,25 +18,19 @@
 //   $ wcp_cli generate /tmp/run.trace --N 8 --n 4 --events 30
 //   $ wcp_cli detect /tmp/run.trace --algo dd
 #include <algorithm>
-#include <cstring>
 #include <iostream>
+#include <limits>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <string>
 
+#include "common/flags.h"
 #include "common/json.h"
 #include "detect/batch.h"
+#include "detect/registry.h"
+#include "detect/sliced.h"
 #include "serve/replay.h"
 #include "serve/tcp.h"
-#include "detect/centralized.h"
-#include "detect/lattice_online.h"
-#include "detect/direct_dep.h"
-#include "detect/lattice.h"
-#include "detect/multi_token.h"
-#include "detect/report.h"
-#include "detect/sliced.h"
-#include "detect/token_vc.h"
 #include "slice/slice.h"
 #include "trace/diagram.h"
 #include "trace/dot_export.h"
@@ -78,16 +72,27 @@ Args parse_args(int argc, char** argv) {
   return a;
 }
 
-std::int64_t flag_int(const Args& a, const std::string& key,
-                      std::int64_t def) {
+/// Strict integer flag: a malformed or out-of-range value throws
+/// common::FlagError (exit 2) instead of silently parsing as 0.
+std::int64_t flag_int(const Args& a, const std::string& key, std::int64_t def,
+                      std::int64_t lo = INT64_MIN, std::int64_t hi = INT64_MAX) {
   auto it = a.flags.find(key);
-  return it == a.flags.end() ? def : std::strtoll(it->second.c_str(),
-                                                  nullptr, 10);
+  return it == a.flags.end()
+             ? def
+             : common::parse_flag_int("wcp_cli", key, it->second, lo, hi);
 }
 
-double flag_double(const Args& a, const std::string& key, double def) {
+/// Strict probability flag in [0, 1].
+double flag_prob(const Args& a, const std::string& key, double def) {
   auto it = a.flags.find(key);
-  return it == a.flags.end() ? def : std::strtod(it->second.c_str(), nullptr);
+  return it == a.flags.end()
+             ? def
+             : common::parse_flag_double("wcp_cli", key, it->second, 0.0, 1.0);
+}
+
+/// --threads t: 0 = WCP_THREADS env or hardware (resolved by the registry).
+std::size_t flag_threads(const Args& a) {
+  return static_cast<std::size_t>(flag_int(a, "threads", 0, 0, 1024));
 }
 
 std::string flag_str(const Args& a, const std::string& key,
@@ -111,9 +116,8 @@ int usage() {
       "  wcp_cli generate <out.trace> [--N k] [--n k] [--events k]\n"
       "                   [--pred-prob p] [--seed s] [--detectable 0|1]\n"
       "                   [--binary]   write wcp-tracebin instead of text\n"
-      "  wcp_cli detect   <in.trace> [--algo token|multi|dd|dd-par|checker|"
-      "lattice|lattice-online|lattice-sliced|definitely|definitely-sliced|"
-      "oracle]\n"
+      "  wcp_cli detect   <in.trace> [--algo "
+            << detect::detector_names("|") << "]\n" <<
       "                   [--groups g] [--seed s] [--halt 0|1] [--json]\n"
       "                   [--threads t]   t=0: WCP_THREADS env or hardware\n"
       "                   [--faults spec]   e.g. "
@@ -135,36 +139,13 @@ int usage() {
   return 2;
 }
 
-void print_cut(const std::vector<StateIndex>& cut) {
-  std::cout << '[';
-  for (std::size_t s = 0; s < cut.size(); ++s)
-    std::cout << (s ? "," : "") << cut[s];
-  std::cout << ']';
-}
-
-/// The canonical algorithm-agnostic verdict line. `wcp_cli detect --verdict`
-/// and `wcp_cli stream` both emit exactly this, so a byte-diff proves the
-/// streamed path reproduces the offline one (CI does exactly that).
-void print_verdict_line(bool detected, const std::vector<StateIndex>& cut) {
-  json::Writer w(std::cout);
-  w.begin_object();
-  w.key("schema").value("wcp-verdict/1");
-  w.key("detected").value(detected);
-  w.key("cut").begin_array();
-  if (detected)
-    for (const StateIndex k : cut) w.value(k);
-  w.end_array();
-  w.end_object();
-  std::cout << "\n";
-}
-
 int cmd_generate(const Args& a) {
   if (a.positional.size() < 2) return usage();
   workload::RandomSpec spec;
-  spec.num_processes = static_cast<std::size_t>(flag_int(a, "N", 8));
-  spec.num_predicate = static_cast<std::size_t>(flag_int(a, "n", 4));
+  spec.num_processes = static_cast<std::size_t>(flag_int(a, "N", 8, 0));
+  spec.num_predicate = static_cast<std::size_t>(flag_int(a, "n", 4, 0));
   spec.events_per_process = flag_int(a, "events", 20);
-  spec.local_pred_prob = flag_double(a, "pred-prob", 0.3);
+  spec.local_pred_prob = flag_prob(a, "pred-prob", 0.3);
   spec.ensure_detectable = flag_int(a, "detectable", 0) != 0;
   spec.seed = static_cast<std::uint64_t>(flag_int(a, "seed", 42));
   const auto comp = workload::make_random(spec);
@@ -188,13 +169,8 @@ int cmd_info(const Args& a) {
   std::cout << comp << "\n";
   std::cout << "m (max events/process): " << comp.max_messages_per_process()
             << "\n";
-  if (const auto cut = comp.first_wcp_cut()) {
-    std::cout << "first WCP cut: ";
-    print_cut(*cut);
-    std::cout << "\n";
-  } else {
-    std::cout << "the WCP never holds in this run\n";
-  }
+  detect::write_verdict_text(std::cout, "oracle",
+                             detect::run_detector(comp, "oracle", {}));
   return 0;
 }
 
@@ -226,211 +202,33 @@ int cmd_dot(const Args& a) {
   return 0;
 }
 
-detect::ReportParams report_params(const Computation& comp,
-                                   std::uint64_t seed) {
-  detect::ReportParams rp;
-  rp.N = static_cast<std::int64_t>(comp.num_processes());
-  rp.n = static_cast<std::int64_t>(comp.predicate_processes().size());
-  rp.m = comp.max_messages_per_process();
-  rp.seed = seed;
-  return rp;
-}
-
 int cmd_detect(const Args& a) {
   if (a.positional.size() < 2) return usage();
-  const auto comp = load_any_trace_file(a.positional[1], load_opts(a));
   const std::string algo = flag_str(a, "algo", "token");
-  const bool as_json = a.flags.contains("json");
-
-  detect::RunOptions opts;
-  opts.seed = static_cast<std::uint64_t>(flag_int(a, "seed", 1));
-  opts.latency = sim::LatencyModel::uniform(1, 6);
-  opts.halt_on_detect = flag_int(a, "halt", 0) != 0;
+  if (detect::find_detector(algo) == nullptr)
+    throw common::FlagError("wcp_cli: --algo must be one of " +
+                            detect::detector_names(", ") + ", got \"" +
+                            algo + "\"");
+  detect::DetectParams params;
+  params.seed = static_cast<std::uint64_t>(flag_int(a, "seed", 1));
+  params.groups = static_cast<int>(
+      flag_int(a, "groups", 2, 1, std::numeric_limits<int>::max()));
+  params.threads = flag_threads(a);
+  params.halt = flag_int(a, "halt", 0) != 0;
   const std::string fault_spec = flag_str(a, "faults", "");
-  if (!fault_spec.empty()) opts.faults = sim::FaultPlan::parse(fault_spec);
-  detect::ReportParams rp = report_params(comp, opts.seed);
-  // Echo the canonical (round-tripped) spec so the report pins down the
-  // exact fault schedule the run used.
-  if (opts.faults.enabled()) rp.faults = opts.faults.to_string();
+  if (!fault_spec.empty()) params.faults = sim::FaultPlan::parse(fault_spec);
 
-  const auto emit_flat =
-      [&](const std::vector<std::pair<std::string, detect::MetricValue>>&
-              metrics) {
-        json::Writer w(std::cout);
-        detect::write_run_report(w, "cli:" + algo, rp, metrics, std::nullopt,
-                                 std::nullopt);
-        std::cout << "\n";
-      };
-
-  const bool verdict_only = a.flags.contains("verdict");
-  if (algo == "oracle") {
-    const auto cut = comp.first_wcp_cut();
-    if (verdict_only) {
-      print_verdict_line(cut.has_value(),
-                         cut.value_or(std::vector<StateIndex>{}));
-      return 0;
-    }
-    if (as_json) {
-      emit_flat({{"detected", cut ? 1 : 0}});
-      return 0;
-    }
-    if (cut) {
-      std::cout << "oracle: DETECTED cut=";
-      print_cut(*cut);
-      std::cout << "\n";
-    } else {
-      std::cout << "oracle: not-detected\n";
-    }
-    return 0;
-  }
-  if (algo == "lattice-online" || algo == "lattice" ||
-      algo == "lattice-sliced") {
-    const auto report_lattice = [&](bool detected,
-                                    const std::vector<StateIndex>& cut,
-                                    std::int64_t cuts_explored,
-                                    std::int64_t max_frontier, bool truncated,
-                                    std::int64_t witness_len,
-                                    const TraceStoreStats& ts) {
-      if (verdict_only) {
-        print_verdict_line(detected, cut);
-        return;
-      }
-      if (as_json) {
-        std::vector<std::pair<std::string, detect::MetricValue>> metrics = {
-            {"detected", detected ? 1 : 0},
-            {"cuts_explored", cuts_explored},
-            {"max_frontier", max_frontier},
-            {"truncated", truncated ? 1 : 0},
-            {"witness_len", witness_len}};
-        if (ts.materialized()) {
-          metrics.emplace_back("store_peak_bytes", ts.peak_bytes);
-          metrics.emplace_back("store_delta_ratio", ts.delta_ratio);
-        }
-        emit_flat(metrics);
-        return;
-      }
-      std::cout << algo << ": " << (detected ? "DETECTED" : "not-detected");
-      if (detected) {
-        std::cout << " cut=";
-        print_cut(cut);
-        std::cout << " witness_len=" << witness_len;
-      }
-      std::cout << " cuts_explored=" << cuts_explored
-                << " max_frontier=" << max_frontier
-                << (truncated ? " (truncated)" : "");
-      if (ts.materialized())
-        std::cout << " store_peak_bytes=" << ts.peak_bytes;
-      std::cout << "\n";
-    };
-    if (algo == "lattice") {
-      const auto threads =
-          static_cast<std::size_t>(flag_int(a, "threads", 0));
-      const auto r = detect::detect_lattice(comp, 10'000'000, threads);
-      report_lattice(r.detected, r.cut, r.cuts_explored, r.max_frontier,
-                     r.truncated,
-                     static_cast<std::int64_t>(r.witness_path.size()),
-                     r.trace_store);
-    } else if (algo == "lattice-sliced") {
-      const auto threads =
-          static_cast<std::size_t>(flag_int(a, "threads", 0));
-      const auto r = detect::detect_lattice_sliced(comp, threads);
-      report_lattice(r.detected, r.cut, r.cuts_explored, r.max_frontier,
-                     r.truncated,
-                     static_cast<std::int64_t>(r.witness_path.size()),
-                     r.trace_store);
-    } else {
-      const auto r = detect::run_lattice_online(comp, opts, 10'000'000);
-      report_lattice(r.detected, r.cut, r.cuts_explored, r.max_frontier,
-                     r.truncated, 0, TraceStoreStats{});
-    }
-    return 0;
-  }
-  if (algo == "definitely" || algo == "definitely-sliced") {
-    const auto threads = static_cast<std::size_t>(flag_int(a, "threads", 0));
-    const auto r =
-        algo == "definitely"
-            ? detect::detect_definitely(comp, 10'000'000, threads)
-            : detect::detect_definitely_sliced(comp, 10'000'000, threads);
-    if (as_json) {
-      std::int64_t witness_level = 0;
-      for (StateIndex k : r.witness) witness_level += k;
-      std::vector<std::pair<std::string, detect::MetricValue>> metrics = {
-          {"definitely", r.definitely ? 1 : 0},
-          {"cuts_explored", r.cuts_explored},
-          {"truncated", r.truncated ? 1 : 0},
-          {"witness_found", r.witness.empty() ? 0 : 1},
-          {"witness_level", witness_level},
-          {"witness_len", static_cast<std::int64_t>(r.witness_path.size())}};
-      if (r.trace_store.materialized()) {
-        metrics.emplace_back("store_peak_bytes", r.trace_store.peak_bytes);
-        metrics.emplace_back("store_delta_ratio", r.trace_store.delta_ratio);
-      }
-      emit_flat(metrics);
-      return 0;
-    }
-    std::cout << algo << ": "
-              << (r.truncated ? "inconclusive"
-                              : (r.definitely ? "DEFINITELY" : "not-definitely"))
-              << " cuts_explored=" << r.cuts_explored
-              << (r.truncated ? " (truncated)" : "");
-    if (!r.witness.empty()) {
-      std::cout << " witness=";
-      print_cut(r.witness);
-    }
-    std::cout << "\n";
-    return 0;
-  }
-
-  detect::DetectionResult r;
-  // The paper's work budget for the chosen algorithm: O(n^2 m) for the
-  // vector-clock family (§3.4), O(Nm) for direct dependence (§4.4).
-  double bound = 0;
-  const double nd = static_cast<double>(rp.n);
-  const double md = static_cast<double>(rp.m);
-  if (algo == "token") {
-    r = detect::run_token_vc(comp, opts);
-    bound = nd * nd * md;
-  } else if (algo == "multi") {
-    detect::MultiTokenOptions mt;
-    mt.num_groups = static_cast<int>(flag_int(a, "groups", 2));
-    r = detect::run_multi_token(comp, opts, mt);
-    bound = nd * nd * md;
-  } else if (algo == "dd" || algo == "dd-par") {
-    detect::DdRunOptions dd;
-    dd.parallel = (algo == "dd-par");
-    r = detect::run_direct_dep(comp, opts, dd);
-    bound = static_cast<double>(rp.N) * md;
-  } else if (algo == "checker") {
-    r = detect::run_centralized(comp, opts);
-    bound = nd * nd * md;
-  } else {
-    std::cerr << "unknown --algo '" << algo << "'\n";
-    return usage();
-  }
-  if (verdict_only) {
-    print_verdict_line(r.detected, r.cut);
-    return 0;
-  }
-  if (as_json) {
-    const double work = static_cast<double>(r.monitor_metrics.total_work());
-    std::optional<double> ratio;
-    if (bound > 0) ratio = work / bound;
+  const auto comp = load_any_trace_file(a.positional[1], load_opts(a));
+  const detect::Verdict v = detect::run_detector(comp, algo, params);
+  if (a.flags.contains("verdict")) {
+    detect::write_verdict_line(std::cout, v.detected, v.cut);
+  } else if (a.flags.contains("json")) {
     json::Writer w(std::cout);
-    detect::write_run_report(w, "cli:" + algo, rp, r,
-                             bound > 0 ? std::optional<double>(bound)
-                                       : std::nullopt,
-                             ratio);
+    detect::write_verdict_report(w, "cli:" + algo, v);
     std::cout << "\n";
-    return 0;
+  } else {
+    detect::write_verdict_text(std::cout, algo, v);
   }
-  std::cout << algo << ": " << r << "\n";
-  if (!r.frozen_cut.empty()) {
-    std::cout << "  frozen at: ";
-    print_cut(r.frozen_cut);
-    std::cout << "\n";
-  }
-  std::cout << "  app:     " << r.app_metrics.summary() << "\n";
-  std::cout << "  monitor: " << r.monitor_metrics.summary() << "\n";
   return 0;
 }
 
@@ -442,12 +240,13 @@ int cmd_stream(const Args& a) {
   const bool as_json = a.flags.contains("json");
 
   serve::ReplayOptions opts;
-  opts.serve.gc_every = static_cast<std::size_t>(flag_int(a, "gc-every", 64));
-  opts.client.window = static_cast<std::size_t>(flag_int(a, "window", 64));
+  opts.serve.gc_every =
+      static_cast<std::size_t>(flag_int(a, "gc-every", 64, 0));
+  opts.client.window = static_cast<std::size_t>(flag_int(a, "window", 64, 1));
   const std::string fault_spec = flag_str(a, "faults", "");
   if (!fault_spec.empty())
     opts.faults.plan = sim::FaultPlan::parse(fault_spec);
-  opts.faults.reorder = flag_double(a, "reorder", 0.0);
+  opts.faults.reorder = flag_prob(a, "reorder", 0.0);
 
   std::vector<std::string> algos = split_list(
       flag_str(a, "algos", "token,checker,lattice-online,slicer"));
@@ -461,12 +260,10 @@ int cmd_stream(const Args& a) {
   const std::string connect = flag_str(a, "connect", "");
   if (!connect.empty()) {
     const auto colon = connect.rfind(':');
-    if (colon == std::string::npos) {
-      std::cerr << "--connect expects host:port\n";
-      return usage();
-    }
-    const auto port = static_cast<std::uint16_t>(
-        std::strtoul(connect.substr(colon + 1).c_str(), nullptr, 10));
+    if (colon == std::string::npos)
+      throw common::FlagError("wcp_cli: --connect expects host:port");
+    const auto port = static_cast<std::uint16_t>(common::parse_flag_int(
+        "wcp_cli", "connect", connect.substr(colon + 1), 1, 65535));
     const auto t = serve::tcp_connect(connect.substr(0, colon), port);
     r = serve::replay_stream_over(comp, opts, *t);
   } else {
@@ -474,7 +271,7 @@ int cmd_stream(const Args& a) {
   }
 
   if (as_json) {
-    detect::ReportParams rp = report_params(comp, 0);
+    detect::ReportParams rp = detect::report_params(comp, 0);
     if (opts.faults.plan.enabled()) rp.faults = opts.faults.plan.to_string();
     std::vector<std::pair<std::string, detect::MetricValue>> metrics;
     for (const auto& [name, value] : r.stats.items())
@@ -498,7 +295,7 @@ int cmd_stream(const Args& a) {
               return x.sub_id < y.sub_id;
             });
   for (const serve::VerdictBody& v : by_sub)
-    print_verdict_line(v.detected, v.cut);
+    detect::write_verdict_line(std::cout, v.detected, v.cut);
   return 0;
 }
 
@@ -507,16 +304,17 @@ int cmd_slice(const Args& a) {
   const auto comp = load_any_trace_file(a.positional[1], load_opts(a));
   const bool as_json = a.flags.contains("json");
   const std::int64_t max_cuts = flag_int(a, "max-cuts", 1'000'000);
-  const auto threads = static_cast<std::size_t>(flag_int(a, "threads", 0));
+  const std::size_t threads = detect::resolve_threads(flag_threads(a));
 
   slice::SliceBuildCounters ctr;
   const auto sl = slice::Slice::build(comp, &ctr, threads);
   const auto cc = sl.num_cuts(max_cuts);
   const auto possibly = detect::detect_lattice_sliced(comp);
-  const auto definitely = detect::detect_definitely_sliced(comp, 10'000'000);
+  const auto definitely =
+      detect::detect_definitely_sliced(comp, detect::kDefaultMaxCuts);
 
   if (as_json) {
-    const detect::ReportParams rp = report_params(comp, 0);
+    const detect::ReportParams rp = detect::report_params(comp, 0);
     json::Writer w(std::cout);
     detect::write_run_report(
         w, "cli:slice", rp,
@@ -542,9 +340,9 @@ int cmd_slice(const Args& a) {
             << (cc.saturated ? "+ (capped)" : "") << "\n";
   if (!sl.empty()) {
     std::cout << "  bottom: ";
-    print_cut(sl.bottom());
+    detect::write_cut(std::cout, sl.bottom());
     std::cout << "\n  top:    ";
-    print_cut(sl.top());
+    detect::write_cut(std::cout, sl.top());
     std::cout << "\n";
   }
   std::cout << "  possibly=" << (possibly.detected ? "yes" : "no")
@@ -553,7 +351,7 @@ int cmd_slice(const Args& a) {
             << " (cuts_explored=" << definitely.cuts_explored << ")\n";
   if (!definitely.witness.empty()) {
     std::cout << "  avoiding-observation witness: ";
-    print_cut(definitely.witness);
+    detect::write_cut(std::cout, definitely.witness);
     std::cout << "\n";
   }
   return 0;
@@ -572,13 +370,14 @@ int cmd_sweep(const Args& a) {
   if (a.positional.size() < 2) return usage();
   const auto comp = load_any_trace_file(a.positional[1], load_opts(a));
   const bool as_json = a.flags.contains("json");
-  const auto threads = static_cast<std::size_t>(flag_int(a, "threads", 0));
+  const std::size_t threads = flag_threads(a);
 
   const auto algos =
       split_list(flag_str(a, "algos", "token,dd,lattice,lattice-sliced"));
   std::vector<std::uint64_t> seeds;
   for (const std::string& s : split_list(flag_str(a, "seeds", "1,2,3,4")))
-    seeds.push_back(std::strtoull(s.c_str(), nullptr, 10));
+    seeds.push_back(static_cast<std::uint64_t>(
+        common::parse_flag_int("wcp_cli", "seeds", s, 0, INT64_MAX)));
   if (algos.empty() || seeds.empty()) return usage();
 
   const auto rows =
@@ -586,18 +385,11 @@ int cmd_sweep(const Args& a) {
   for (const auto& row : rows) {
     if (as_json) {
       std::cout << row.report << "\n";
-      continue;
+    } else {
+      detect::write_verdict_text(
+          std::cout, row.algo + " seed=" + std::to_string(row.seed),
+          row.verdict);
     }
-    const bool is_def = row.algo.rfind("definitely", 0) == 0;
-    std::cout << row.algo << " seed=" << row.seed << ": "
-              << (row.verdict ? (is_def ? "DEFINITELY" : "DETECTED")
-                              : (is_def ? "not-definitely" : "not-detected"))
-              << " cost=" << row.cost;
-    if (!row.cut.empty()) {
-      std::cout << " cut=";
-      print_cut(row.cut);
-    }
-    std::cout << "\n";
   }
   return 0;
 }
@@ -618,6 +410,9 @@ int main(int argc, char** argv) {
     if (cmd == "diagram") return cmd_diagram(a);
     if (cmd == "dot") return cmd_dot(a);
     return usage();
+  } catch (const common::FlagError& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -69,6 +69,9 @@ struct CoreHooks {
   /// The core released the snapshot at (slot, pos) (centralized queue-head
   /// elimination); hosts use it for buffer accounting.
   std::function<void(std::size_t, StateIndex)> released;
+  /// The token moved from slot `from` to slot `to` (TokenCore); every work
+  /// unit between two hops is spent by the slot holding the token.
+  std::function<void(std::size_t from, std::size_t to)> hopped;
 
   void add_work(std::int64_t units) const {
     if (work) work(units);

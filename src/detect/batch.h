@@ -8,9 +8,9 @@
 // the jobs fan out across a common::ThreadPool while the returned rows stay
 // in job order, each row byte-identical to what a serial run produces.
 //
-// Job algorithms use the wcp_cli --algo vocabulary: token | multi | dd |
-// dd-par | checker | lattice | lattice-online | lattice-sliced |
-// definitely | definitely-sliced | oracle.
+// Job algorithms are the names of the detector registry (detect/registry.h),
+// the same vocabulary as wcp_cli --algo; each row's report is the record
+// `wcp_cli detect --json` prints for that run, minus the wall clock.
 #pragma once
 
 #include <cstdint>
@@ -18,38 +18,24 @@
 #include <vector>
 
 #include "common/types.h"
+#include "detect/registry.h"
 #include "trace/computation.h"
 
 namespace wcp::detect {
 
-/// One sweep job: which detector to run and the run seed. The seed drives
-/// only simulator latency/pacing; offline detectors (lattice/sliced
-/// families, oracle) ignore it but still report it.
+/// One sweep job: a registered detector name and its parameters. Offline
+/// detectors ignore params.seed but still report it; params.threads stays
+/// 1 by default because sweeps parallelize across jobs, not inside them.
 struct SweepJob {
   std::string algo;
-  std::uint64_t seed = 1;
-  int groups = 2;                       ///< multi-token group count
-  std::int64_t max_cuts = 10'000'000;   ///< lattice/definitely exploration cap
-  /// Inner thread count for the lattice-family detectors (1 = serial,
-  /// default: sweeps usually parallelize across jobs, not inside them).
-  /// Rows are byte-identical for every value — the concurrent engine's
-  /// serial replay guarantees it for lattice/definitely, and the sliced
-  /// detectors are inherently serial.
-  std::size_t threads = 1;
+  DetectParams params;
 };
 
 /// Outcome of one job, independent of sweep thread count.
 struct SweepRow {
   std::string algo;
   std::uint64_t seed = 0;
-  /// Detection verdict: detected (possibly family) or definitely.
-  bool verdict = false;
-  /// Detected cut, slice bottom, or definitely witness; empty when the
-  /// algorithm produced none.
-  std::vector<StateIndex> cut;
-  /// Headline cost: cuts_explored for the offline detectors, monitor work
-  /// units for the simulator-hosted ones.
-  std::int64_t cost = 0;
+  Verdict verdict;
   /// Compact wcp-run-report/1 record for the run, wall clock excluded — a
   /// pure function of (computation, algo, seed), so rows from parallel and
   /// serial sweeps compare byte-for-byte.

@@ -637,7 +637,6 @@ LatticeResult detect_lattice(const Computation& comp, std::int64_t max_cuts,
                              std::size_t threads) {
   const auto procs = comp.predicate_processes();
   WCP_REQUIRE(!procs.empty(), "empty predicate");
-  if (threads == 0) threads = common::ThreadPool::default_threads();
   // Materialize the trace store up front: the parallel path must not race
   // on the lazy build, and doing it here for the serial path too keeps the
   // reported trace-store stats identical across thread counts.
@@ -658,7 +657,6 @@ DefinitelyResult detect_definitely(const Computation& comp,
                                    std::size_t threads) {
   const auto procs = comp.predicate_processes();
   WCP_REQUIRE(!procs.empty(), "empty predicate");
-  if (threads == 0) threads = common::ThreadPool::default_threads();
   (void)comp.trace_store();
   DefinitelyResult res =
       threads <= 1 || procs.size() > 255

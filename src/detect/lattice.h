@@ -11,7 +11,7 @@
 // The number of cuts explored can grow as O(m^n) — the cost that motivates
 // the paper's algorithms; bench E10 measures the blowup.
 //
-// Both detectors accept a `threads` parameter. threads == 1 (the default)
+// Both detectors accept a `threads` parameter. threads <= 1 (the default)
 // runs the reference serial BFS; threads > 1 runs the barrier-free
 // concurrent engine (ALGORITHMS.md §15): lanes pop cut handles from a
 // work-stealing frontier in arbitrary order, intern successors exactly
@@ -21,10 +21,8 @@
 // the recorded successor graph in exact serial BFS order, so verdict, cut,
 // cuts_explored, max_frontier, and witness_path are byte-identical to the
 // serial path at every thread count (tests/flat_storage_equiv_test.cc
-// byte-diffs full JSON reports at threads 1/2/4/8).
-// threads == 0 resolves to common::ThreadPool::default_threads()
-// (WCP_THREADS env var — which must be a positive integer — else
-// hardware_concurrency()).
+// byte-diffs full JSON reports at threads 1/2/4/8). Front ends resolve a
+// user's `--threads 0` through detect::resolve_threads (detect/registry.h).
 // Cut storage: both detectors keep every visited cut in flat arenas
 // (common/cut_storage.h) — packed 32-bit components, open-addressing
 // dedup tables with precomputed hashes, dense-handle parent vectors —
@@ -64,8 +62,8 @@ struct LatticeResult {
 };
 
 /// Explores at most `max_cuts` consistent cuts (<0: unbounded). `threads`:
-/// 1 = serial reference BFS, 0 = ThreadPool::default_threads(), otherwise
-/// the level-parallel BFS on that many lanes (identical results).
+/// <= 1 = serial reference BFS, otherwise the concurrent engine on that
+/// many lanes (identical results).
 LatticeResult detect_lattice(const Computation& comp,
                              std::int64_t max_cuts = -1,
                              std::size_t threads = 1);

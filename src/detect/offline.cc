@@ -1,26 +1,53 @@
 #include "detect/offline.h"
 
 #include <deque>
-#include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "app/state_stream.h"
 #include "clock/dependence.h"
-#include "clock/vector_clock.h"
 #include "common/error.h"
+#include "detect/stream_core.h"
 
 namespace wcp::detect {
 
 namespace {
 
-// The width-n clock Fig. 2 would stamp on state (p, k) is exactly the
-// ground-truth clock projected onto the predicate processes.
-VectorClock project(const Computation& comp, ProcessId p, StateIndex k) {
-  const auto preds = comp.predicate_processes();
-  std::vector<StateIndex> c(preds.size());
-  for (std::size_t s = 0; s < preds.size(); ++s)
-    c[s] = comp.clock_component(p, k, preds[s]);
-  return VectorClock(std::move(c));
-}
+/// All-states view of the predicate processes of a computation: position ==
+/// state index, clocks projected onto the predicate slots (the width-n clock
+/// Fig. 2 would stamp on a state). The driver reveals one state at a time;
+/// a slot's stream ends with its last state.
+class ComputationStateStream final : public app::StateStream {
+ public:
+  explicit ComputationStateStream(const Computation& comp)
+      : comp_(comp),
+        preds_(comp.predicate_processes()),
+        last_(preds_.size(), 0) {}
+
+  [[nodiscard]] std::size_t slots() const override { return preds_.size(); }
+  [[nodiscard]] StateIndex last(std::size_t s) const override {
+    return last_[s];
+  }
+  [[nodiscard]] StateIndex base(std::size_t) const override { return 1; }
+  [[nodiscard]] bool eos(std::size_t s) const override {
+    return last_[s] == comp_.num_states(preds_[s]);
+  }
+  [[nodiscard]] StateIndex clock(std::size_t s, StateIndex pos,
+                                 std::size_t t) const override {
+    return comp_.clock_component(preds_[s], pos, preds_[t]);
+  }
+  [[nodiscard]] bool pred(std::size_t s, StateIndex pos) const override {
+    return comp_.local_pred(preds_[s], pos);
+  }
+
+  void append(std::size_t s) { ++last_[s]; }
+
+ private:
+  const Computation& comp_;
+  std::span<const ProcessId> preds_;
+  std::vector<StateIndex> last_;
+};
 
 }  // namespace
 
@@ -28,81 +55,50 @@ DetectionResult detect_token_vc_offline(const Computation& comp) {
   const auto preds = comp.predicate_processes();
   const std::size_t n = preds.size();
   WCP_REQUIRE(n >= 1, "empty predicate");
+  const auto width = static_cast<std::int64_t>(n);
 
   DetectionResult res;
   res.monitor_metrics.resize(n + 1);
   res.app_metrics.resize(comp.num_processes());
 
-  // Candidate queue per slot: the snapshot stream of Fig. 2.
-  std::vector<std::deque<VectorClock>> queue(n);
+  // Fig. 3 charges every work unit and each token send to the slot that
+  // holds the token; a hop carries the G vector and the color vector.
+  std::size_t holder = 0;
+  app::CoreHooks hooks;
+  hooks.work = [&](std::int64_t units) {
+    res.monitor_metrics.add_work(ProcessId(static_cast<int>(holder)), units);
+  };
+  hooks.hopped = [&](std::size_t from, std::size_t to) {
+    res.monitor_metrics.record_send(ProcessId(static_cast<int>(from)),
+                                    MsgKind::kToken, width * 64 + width);
+    res.monitor_metrics.bump_token_hops();
+    holder = to;
+  };
+  ComputationStateStream stream(comp);
+  TokenCore core(stream, std::move(hooks));
+
   for (std::size_t s = 0; s < n; ++s) {
     const ProcessId p = preds[s];
-    for (StateIndex k = 1; k <= comp.num_states(p); ++k)
-      if (comp.local_pred(p, k)) {
-        queue[s].push_back(project(comp, p, k));
-        res.app_metrics.record_send(p, MsgKind::kSnapshot,
-                                    static_cast<std::int64_t>(n) * 64);
-      }
+    for (StateIndex k = 1; k <= comp.num_states(p); ++k) {
+      // Fig. 2: every candidate state is shipped to the monitor, whether
+      // or not the token ever examines it.
+      if (comp.local_pred(p, k))
+        res.app_metrics.record_send(p, MsgKind::kSnapshot, width * 64);
+      stream.append(s);
+      core.on_state(s);
+    }
+    core.on_eos(s);
   }
+  WCP_CHECK(core.done());
 
-  // The projection above pulled every clock through the columnar store.
+  // Each shipped snapshot carries its clock, so a run that ships any reads
+  // the columnar store even when the token starves before examining one.
+  if (res.app_metrics.total_messages() > 0) (void)comp.trace_store();
   res.trace_store = comp.trace_store_stats();
-
-  std::vector<StateIndex> G(n, 0);
-  std::vector<Color> color(n, Color::kRed);
-  int holder = 0;
-
-  while (true) {
-    const auto s = static_cast<std::size_t>(holder);
-    const ProcessId slot_metric(holder);
-    std::optional<VectorClock> accepted;
-
-    // Fig. 3 while-loop.
-    while (color[s] == Color::kRed) {
-      if (queue[s].empty()) {
-        res.detected = false;  // starved: the stream ended
-        return res;
-      }
-      VectorClock cand = std::move(queue[s].front());
-      queue[s].pop_front();
-      res.monitor_metrics.add_work(slot_metric,
-                                   static_cast<std::int64_t>(n));
-      if (cand[s] > G[s]) {
-        G[s] = cand[s];
-        color[s] = Color::kGreen;
-        accepted = std::move(cand);
-      }
-    }
-    WCP_CHECK(accepted.has_value());
-
-    // Fig. 3 for-loop.
-    res.monitor_metrics.add_work(slot_metric, static_cast<std::int64_t>(n));
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == s) continue;
-      if ((*accepted)[j] >= G[j]) {
-        G[j] = (*accepted)[j];
-        color[j] = Color::kRed;
-      }
-    }
-
-    int next = -1;
-    for (std::size_t j = 0; j < n; ++j)
-      if (color[j] == Color::kRed) {
-        next = static_cast<int>(j);
-        break;
-      }
-    if (next < 0) {
-      res.detected = true;
-      res.cut = G;
-      return res;
-    }
-    res.monitor_metrics.record_send(
-        slot_metric, MsgKind::kToken,
-        static_cast<std::int64_t>(n) * 64 + static_cast<std::int64_t>(n));
-    res.monitor_metrics.bump_token_hops();
-    res.token_hops = res.monitor_metrics.token_hops();
-    holder = next;
-  }
+  res.detected = core.detected();
+  res.cut = core.cut();
+  res.token_hops = res.monitor_metrics.token_hops();
+  return res;
 }
 
 DetectionResult detect_direct_dep_offline(const Computation& comp) {

@@ -17,7 +17,8 @@
 
 namespace wcp::detect {
 
-/// §3 single-token vector-clock algorithm, offline.
+/// §3 single-token vector-clock algorithm, offline: TokenCore over an
+/// all-states view of `comp`; work and token sends go to the holding slot.
 DetectionResult detect_token_vc_offline(const Computation& comp);
 
 /// §4 direct-dependence algorithm, offline (serial schedule).

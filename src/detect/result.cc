@@ -98,16 +98,18 @@ void finish_result(DetectionResult& r, sim::Network& net,
 std::ostream& operator<<(std::ostream& os, const DetectionResult& r) {
   os << (r.detected ? "DETECTED" : "not-detected");
   if (r.detected) {
-    os << " cut=[";
-    for (std::size_t s = 0; s < r.cut.size(); ++s) {
-      if (s) os << ',';
-      os << r.cut[s];
-    }
-    os << ']';
+    os << " cut=";
+    write_cut(os, r.cut);
   }
   os << " t_detect=" << r.detect_time << " t_end=" << r.end_time
      << " hops=" << r.token_hops;
   return os;
+}
+
+void write_cut(std::ostream& os, const std::vector<StateIndex>& cut) {
+  os << '[';
+  for (std::size_t s = 0; s < cut.size(); ++s) os << (s ? "," : "") << cut[s];
+  os << ']';
 }
 
 }  // namespace wcp::detect

@@ -101,6 +101,9 @@ struct DetectionResult {
 
 std::ostream& operator<<(std::ostream& os, const DetectionResult& r);
 
+/// "[a,b,c]"
+void write_cut(std::ostream& os, const std::vector<StateIndex>& cut);
+
 /// Mutable state shared between the monitors of one run; the node that sets
 /// `detected` stops the simulator.
 struct SharedDetection {

@@ -50,7 +50,6 @@ void TokenCore::pump() {
       }
       const StateIndex pos = queue_[s].front();
       queue_[s].pop_front();
-      ++candidates_examined_;
       hooks_.add_work(static_cast<std::int64_t>(n()));
       const StateIndex own = stream_.clock(s, pos, s);
       if (own > g_[s]) {
@@ -84,7 +83,7 @@ void TokenCore::pump() {
       cut_ = g_;
       return;
     }
-    ++token_hops_;
+    if (hooks_.hopped) hooks_.hopped(s, static_cast<std::size_t>(next));
     holder_ = static_cast<std::size_t>(next);
   }
 }

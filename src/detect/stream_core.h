@@ -55,11 +55,6 @@ class TokenCore final : public app::StreamCore {
   [[nodiscard]] StateIndex frontier(std::size_t s) const override;
   [[nodiscard]] std::int64_t resident_bytes() const override;
 
-  [[nodiscard]] std::int64_t token_hops() const { return token_hops_; }
-  [[nodiscard]] std::int64_t candidates_examined() const {
-    return candidates_examined_;
-  }
-
  private:
   void pump();
   [[nodiscard]] std::size_t n() const { return queue_.size(); }
@@ -73,8 +68,6 @@ class TokenCore final : public app::StreamCore {
   bool done_ = false;
   bool detected_ = false;
   std::vector<StateIndex> cut_;
-  std::int64_t token_hops_ = 0;
-  std::int64_t candidates_examined_ = 0;
 };
 
 /// Garg & Waldecker centralized checker over a candidate stream.

@@ -16,7 +16,6 @@ Slice Slice::build(const SliceInput& in, SliceBuildCounters* counters,
   SliceBuildCounters& ctr = counters ? *counters : local;
   const std::size_t n = in.num_slots();
   WCP_REQUIRE(n >= 1, "empty predicate");
-  if (threads == 0) threads = common::ThreadPool::default_threads();
 
   Slice s;
   s.slots_.resize(n);

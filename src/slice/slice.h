@@ -49,8 +49,7 @@ class Slice {
  public:
   /// Builds the slice of `in`'s computation w.r.t. its conjunctive
   /// predicate. O(n^2 m) fixpoint work plus O(n m) grouping. `threads`:
-  /// 1 = serial; 0 = common::ThreadPool::default_threads(); otherwise the
-  /// independent per-slot J columns are computed concurrently on that many
+  /// <= 1 = serial; otherwise the independent per-slot J columns are computed concurrently on that many
   /// lanes and interned serially in slot order, so the resulting slice
   /// (group numbering included) and the accumulated counters are identical
   /// to the serial build for every thread count.

@@ -27,8 +27,8 @@ TEST(Batch, CrossJobsEnumeratesAlgosMajor) {
   const auto jobs = cross_jobs({"a", "b"}, {1, 2, 3});
   ASSERT_EQ(jobs.size(), 6u);
   EXPECT_EQ(jobs[0].algo, "a");
-  EXPECT_EQ(jobs[0].seed, 1u);
-  EXPECT_EQ(jobs[2].seed, 3u);
+  EXPECT_EQ(jobs[0].params.seed, 1u);
+  EXPECT_EQ(jobs[2].params.seed, 3u);
   EXPECT_EQ(jobs[3].algo, "b");
 }
 
@@ -45,9 +45,10 @@ TEST(Batch, RowsIndependentOfThreadCount) {
     for (std::size_t i = 0; i < serial.size(); ++i) {
       EXPECT_EQ(par[i].algo, serial[i].algo) << "row " << i;
       EXPECT_EQ(par[i].seed, serial[i].seed) << "row " << i;
-      EXPECT_EQ(par[i].verdict, serial[i].verdict) << "row " << i;
-      EXPECT_EQ(par[i].cut, serial[i].cut) << "row " << i;
-      EXPECT_EQ(par[i].cost, serial[i].cost) << "row " << i;
+      EXPECT_EQ(par[i].verdict.detected, serial[i].verdict.detected)
+          << "row " << i;
+      EXPECT_EQ(par[i].verdict.cut, serial[i].verdict.cut) << "row " << i;
+      EXPECT_EQ(par[i].verdict.cost, serial[i].verdict.cost) << "row " << i;
       EXPECT_EQ(par[i].report, serial[i].report) << "row " << i;
     }
   }
@@ -60,30 +61,30 @@ TEST(Batch, RowsMatchDirectDetectorCalls) {
   ASSERT_EQ(rows.size(), 3u);
 
   const auto lat = detect_lattice(comp, 10'000'000);
-  EXPECT_EQ(rows[0].verdict, lat.detected);
-  EXPECT_EQ(rows[0].cut, lat.cut);
-  EXPECT_EQ(rows[0].cost, lat.cuts_explored);
+  EXPECT_EQ(rows[0].verdict.detected, lat.detected);
+  EXPECT_EQ(rows[0].verdict.cut, lat.cut);
+  EXPECT_EQ(rows[0].verdict.cost, lat.cuts_explored);
 
   const auto sliced = detect_lattice_sliced(comp);
-  EXPECT_EQ(rows[1].verdict, sliced.detected);
-  EXPECT_EQ(rows[1].cut, sliced.cut);
+  EXPECT_EQ(rows[1].verdict.detected, sliced.detected);
+  EXPECT_EQ(rows[1].verdict.cut, sliced.cut);
 
   RunOptions o;
   o.seed = 3;
   o.latency = sim::LatencyModel::uniform(1, 6);
   const auto tok = run_token_vc(comp, o);
-  EXPECT_EQ(rows[2].verdict, tok.detected);
-  EXPECT_EQ(rows[2].cut, tok.cut);
+  EXPECT_EQ(rows[2].verdict.detected, tok.detected);
+  EXPECT_EQ(rows[2].verdict.cut, tok.cut);
 
   // The two possibly-family detectors agree on the same trace — the
   // cross-check the randomized suites lean on.
-  EXPECT_EQ(rows[0].verdict, rows[1].verdict);
-  EXPECT_EQ(rows[0].cut, rows[1].cut);
+  EXPECT_EQ(rows[0].verdict.detected, rows[1].verdict.detected);
+  EXPECT_EQ(rows[0].verdict.cut, rows[1].verdict.cut);
 }
 
 TEST(Batch, UnknownAlgoThrows) {
   const auto comp = make_case(1);
-  EXPECT_THROW(run_sweep(comp, {{SweepJob{"nope", 1}}}, 1),
+  EXPECT_THROW(run_sweep(comp, {SweepJob{"nope", {}}}, 1),
                std::invalid_argument);
 }
 

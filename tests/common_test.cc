@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "common/flags.h"
 #include "common/logging.h"
 #include "common/types.h"
 
@@ -89,6 +90,46 @@ TEST(Logger, MacroCompilesAndRespectsLevel) {
   WCP_INFO("side effect " << ++evaluations);
   EXPECT_EQ(evaluations, 0);
   log.set_level(old);
+}
+
+// Malformed numeric flag values must be rejected, never parsed as a
+// default: the corpus behind `wcp_cli --threads xyz`, `sweep --seeds abc`
+// and `stream --connect host:xyz`, which once silently meant 0.
+TEST(FlagParsing, MalformedIntegersThrowNamingTheFlag) {
+  const char* corpus[] = {"xyz", "", "4x", "1e3", "0x10", "1.5", "--json",
+                          "99999999999999999999", "-99999999999999999999"};
+  for (const char* value : corpus) {
+    try {
+      (void)common::parse_flag_int("prog", "threads", value, 0, 1024);
+      FAIL() << "accepted \"" << value << "\"";
+    } catch (const common::FlagError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("prog: --threads ", 0), 0u) << what;
+    }
+  }
+  EXPECT_THROW(common::parse_flag_int("prog", "threads", "1025", 0, 1024),
+               common::FlagError);
+  EXPECT_THROW(common::parse_flag_int("prog", "threads", "-1", 0, 1024),
+               common::FlagError);
+  EXPECT_EQ(common::parse_flag_int("prog", "threads", "0", 0, 1024), 0);
+  EXPECT_EQ(common::parse_flag_int("prog", "threads", "1024", 0, 1024), 1024);
+  EXPECT_EQ(common::parse_flag_int("prog", "seed", "-7", -10, 10), -7);
+}
+
+TEST(FlagParsing, MalformedDoublesThrowNamingTheFlag) {
+  const char* corpus[] = {"abc", "", "0.5x", "nan", "1e999", "-0.1", "1.01"};
+  for (const char* value : corpus) {
+    try {
+      (void)common::parse_flag_double("prog", "reorder", value, 0.0, 1.0);
+      FAIL() << "accepted \"" << value << "\"";
+    } catch (const common::FlagError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("prog: --reorder ", 0), 0u) << what;
+    }
+  }
+  EXPECT_DOUBLE_EQ(common::parse_flag_double("prog", "p", "0.25", 0.0, 1.0),
+                   0.25);
+  EXPECT_DOUBLE_EQ(common::parse_flag_double("prog", "p", "1", 0.0, 1.0), 1.0);
 }
 
 }  // namespace

@@ -364,31 +364,32 @@ TEST(FlatStorageEquiv, DifferentialOracleSweepByteIdenticalReports) {
     for (const std::string& algo : algos) {
       SweepJob j;
       j.algo = algo;
-      j.seed = ts.seed;
-      j.max_cuts = ts.max_cuts;
-      j.threads = 1;
+      j.params.seed = ts.seed;
+      j.params.max_cuts = ts.max_cuts;
+      j.params.threads = 1;
       jobs.push_back(std::move(j));
     }
     const auto base = run_sweep(comp, jobs, /*threads=*/1);
     ASSERT_EQ(base.size(), algos.size());
     for (const SweepRow& row : base) {
-      if (row.verdict && row.algo == "lattice") saw_detection = true;
-      if (!row.verdict && row.algo == "definitely" && !row.cut.empty())
+      const Verdict& v = row.verdict;
+      if (v.detected && row.algo == "lattice") saw_detection = true;
+      if (!v.detected && row.algo == "definitely" && !v.cut.empty())
         saw_witness = true;
       if (row.report.find("\"truncated\":1") != std::string::npos)
         saw_truncation = true;
     }
     for (const std::size_t threads : {2u, 4u, 8u}) {
       auto tj = jobs;
-      for (SweepJob& j : tj) j.threads = threads;
+      for (SweepJob& j : tj) j.params.threads = threads;
       const auto rows = run_sweep(comp, tj, /*threads=*/1);
       ASSERT_EQ(rows.size(), base.size());
       for (std::size_t k = 0; k < rows.size(); ++k) {
-        EXPECT_EQ(rows[k].verdict, base[k].verdict)
+        EXPECT_EQ(rows[k].verdict.detected, base[k].verdict.detected)
             << algos[k] << " seed " << ts.seed << " threads " << threads;
-        EXPECT_EQ(rows[k].cut, base[k].cut)
+        EXPECT_EQ(rows[k].verdict.cut, base[k].verdict.cut)
             << algos[k] << " seed " << ts.seed << " threads " << threads;
-        EXPECT_EQ(rows[k].cost, base[k].cost)
+        EXPECT_EQ(rows[k].verdict.cost, base[k].verdict.cost)
             << algos[k] << " seed " << ts.seed << " threads " << threads;
         EXPECT_EQ(rows[k].report, base[k].report)
             << algos[k] << " seed " << ts.seed << " threads " << threads

@@ -17,6 +17,44 @@ RunOptions opts(std::uint64_t seed = 1) {
   return o;
 }
 
+// Per-slot Fig. 3 accounting of detect_token_vc_offline on the seeds below,
+// pinned so the attribution — not just the totals — can never drift: work
+// and token sends are charged to the slot holding the token (slot n, the
+// coordinator, stays idle), and every candidate state ships one snapshot.
+struct SlotAccounting {
+  std::vector<std::int64_t> monitor_work;   // per slot, n + 1 entries
+  std::vector<std::int64_t> token_sends;    // per slot, n + 1 entries
+  std::vector<std::int64_t> snapshot_sends; // per application process
+};
+
+const SlotAccounting kPinnedAccounting[] = {
+    {{8, 8, 8, 8, 0}, {1, 1, 1, 0, 0}, {6, 6, 7, 7, 0, 0}},
+    {{8, 12, 20, 8, 0}, {1, 1, 1, 1, 0}, {5, 9, 7, 6, 0, 0}},
+    {{16, 8, 8, 8, 0}, {2, 1, 1, 0, 0}, {7, 5, 9, 6, 0, 0}},
+    {{8, 8, 28, 8, 0}, {1, 1, 1, 1, 0}, {9, 3, 7, 5, 0, 0}},
+    {{8, 8, 8, 8, 0}, {1, 1, 1, 0, 0}, {3, 6, 5, 4, 0, 0}},
+    {{8, 8, 8, 8, 0}, {1, 1, 1, 0, 0}, {3, 9, 7, 5, 0, 0}},
+    {{8, 8, 8, 8, 0}, {1, 1, 1, 0, 0}, {7, 5, 5, 5, 0, 0}},
+    {{8, 16, 8, 8, 0}, {1, 1, 1, 1, 0}, {6, 8, 4, 6, 0, 0}},
+    {{8, 8, 8, 12, 0}, {1, 1, 1, 0, 0}, {7, 7, 2, 4, 0, 0}},
+    {{8, 20, 8, 8, 0}, {1, 1, 1, 1, 0}, {5, 10, 7, 4, 0, 0}},
+    {{8, 8, 12, 8, 0}, {1, 1, 1, 0, 0}, {5, 4, 6, 3, 0, 0}},
+    {{8, 8, 8, 8, 0}, {1, 1, 1, 0, 0}, {5, 8, 9, 7, 0, 0}},
+    {{8, 8, 8, 12, 0}, {1, 1, 1, 0, 0}, {7, 4, 4, 6, 0, 0}},
+    {{8, 8, 8, 8, 0}, {1, 1, 1, 0, 0}, {9, 5, 5, 10, 0, 0}},
+    {{8, 8, 8, 8, 0}, {1, 1, 1, 0, 0}, {5, 5, 5, 6, 0, 0}},
+    {{8, 8, 8, 12, 0}, {1, 1, 1, 0, 0}, {5, 7, 8, 5, 0, 0}},
+    {{8, 8, 8, 8, 0}, {1, 1, 1, 0, 0}, {5, 7, 6, 3, 0, 0}},
+    {{8, 8, 12, 8, 0}, {1, 1, 1, 0, 0}, {6, 6, 7, 6, 0, 0}},
+    {{16, 16, 8, 8, 0}, {2, 2, 1, 0, 0}, {3, 7, 4, 6, 0, 0}},
+    {{8, 8, 8, 8, 0}, {1, 1, 1, 0, 0}, {5, 10, 4, 5, 0, 0}},
+    {{8, 12, 8, 8, 0}, {1, 1, 1, 0, 0}, {3, 7, 2, 5, 0, 0}},
+    {{8, 8, 8, 12, 0}, {1, 1, 1, 0, 0}, {3, 1, 7, 9, 0, 0}},
+    {{8, 8, 8, 8, 0}, {1, 1, 1, 0, 0}, {4, 6, 6, 6, 0, 0}},
+    {{8, 8, 8, 8, 0}, {1, 1, 1, 0, 0}, {8, 2, 5, 6, 0, 0}},
+    {{8, 8, 8, 8, 0}, {1, 1, 1, 0, 0}, {3, 6, 4, 4, 0, 0}},
+};
+
 TEST(OfflineTokenVc, MatchesOracleAndOnlineRun) {
   for (std::uint64_t seed = 0; seed < 25; ++seed) {
     workload::RandomSpec spec;
@@ -39,6 +77,32 @@ TEST(OfflineTokenVc, MatchesOracleAndOnlineRun) {
               on.monitor_metrics.total_work())
         << "seed " << seed;
     EXPECT_EQ(off.token_hops, on.token_hops) << "seed " << seed;
+
+    const SlotAccounting& want = kPinnedAccounting[seed];
+    const std::int64_t n = 4;
+    for (std::size_t s = 0; s < want.monitor_work.size(); ++s) {
+      const auto& m = off.monitor_metrics.at(ProcessId(static_cast<int>(s)));
+      EXPECT_EQ(m.work_units, want.monitor_work[s])
+          << "seed " << seed << " slot " << s;
+      for (std::size_t k = 0; k < kNumMsgKinds; ++k) {
+        const bool token = k == static_cast<std::size_t>(MsgKind::kToken);
+        EXPECT_EQ(m.messages_sent[k], token ? want.token_sends[s] : 0)
+            << "seed " << seed << " slot " << s << " kind " << k;
+        EXPECT_EQ(m.bits_sent[k], token ? want.token_sends[s] * (n * 64 + n)
+                                        : 0)
+            << "seed " << seed << " slot " << s << " kind " << k;
+      }
+    }
+    for (std::size_t p = 0; p < want.snapshot_sends.size(); ++p) {
+      const auto& m = off.app_metrics.at(ProcessId(static_cast<int>(p)));
+      for (std::size_t k = 0; k < kNumMsgKinds; ++k) {
+        const bool snap = k == static_cast<std::size_t>(MsgKind::kSnapshot);
+        EXPECT_EQ(m.messages_sent[k], snap ? want.snapshot_sends[p] : 0)
+            << "seed " << seed << " process " << p << " kind " << k;
+        EXPECT_EQ(m.bits_sent[k], snap ? want.snapshot_sends[p] * n * 64 : 0)
+            << "seed " << seed << " process " << p << " kind " << k;
+      }
+    }
   }
 }
 
