@@ -9,7 +9,9 @@ namespace wcp {
 
 LockFreeCutTable::LockFreeCutTable(std::size_t lanes,
                                    std::size_t initial_slots)
-    : slots_(std::bit_ceil(std::max<std::size_t>(initial_slots, 16))),
+    : slots_(std::bit_ceil(std::max<std::size_t>(
+          {initial_slots, 16, 4 * lanes * (kFlushBlock - 1)}))),
+      slack_(lanes * (kFlushBlock - 1)),
       lane_counters_(lanes) {
   WCP_REQUIRE(lanes >= 1, "lock-free cut table needs >= 1 lane");
   for (auto& s : slots_) s.store(kEmptySlot, std::memory_order_relaxed);
@@ -41,8 +43,16 @@ LockFreeCutTable::Result LockFreeCutTable::intern(
                                               std::memory_order_release,
                                               std::memory_order_acquire)) {
         store.publish(lane);
-        count_.fetch_add(1, std::memory_order_relaxed);
-        lane_counters_[lane].probes += probes;
+        LaneCounters& lc = lane_counters_[lane];
+        const std::uint32_t unflushed =
+            lc.unflushed.load(std::memory_order_relaxed) + 1;
+        if (unflushed == kFlushBlock) {
+          count_.fetch_add(kFlushBlock, std::memory_order_relaxed);
+          lc.unflushed.store(0, std::memory_order_relaxed);
+        } else {
+          lc.unflushed.store(unflushed, std::memory_order_relaxed);
+        }
+        lc.probes += probes;
         return {staged, Outcome::kInserted};
       }
       // Lost the claim; `cur` now holds the winner — fall through to the
@@ -84,6 +94,13 @@ void LockFreeCutTable::grow(const SegmentedCutStore& store) {
   ++growths_;
   peak_bytes_ = std::max(
       peak_bytes_, static_cast<std::int64_t>(cap * sizeof(slots_[0])));
+}
+
+std::size_t LockFreeCutTable::size() const {
+  std::size_t total = count_.load(std::memory_order_relaxed);
+  for (const LaneCounters& c : lane_counters_)
+    total += c.unflushed.load(std::memory_order_relaxed);
+  return total;
 }
 
 std::int64_t LockFreeCutTable::probes() const {

@@ -22,6 +22,15 @@
 // quiesce) and call grow() from exactly one of them. Growth rehashes from
 // the full 64-bit hashes stored per cut in the SegmentedCutStore, so the
 // low-32 tags lose no placement information.
+//
+// Insert count. A shared fetch_add per insert would put one cache line
+// that every lane writes on the hot path, so each lane counts its own
+// inserts and flushes them to the shared count in blocks of kFlushBlock.
+// The shared count therefore trails the true count by at most
+// lanes · (kFlushBlock − 1) — the unflushed slack, which needs_grow() adds
+// in full, so the load-factor gate fires no later than with an exact
+// count. size() adds the per-lane remainders back and is exact whenever
+// no lane is inserting.
 #pragma once
 
 #include <atomic>
@@ -46,8 +55,9 @@ class LockFreeCutTable {
     Outcome outcome;
   };
 
-  /// `lanes` sizes the per-lane probe counters; `initial_slots` is rounded
-  /// up to a power of two.
+  /// `lanes` sizes the per-lane counters; `initial_slots` is rounded up to
+  /// a power of two, and to at least 4× the unflushed-count slack so the
+  /// load-factor gate never trips on an empty table.
   explicit LockFreeCutTable(std::size_t lanes,
                             std::size_t initial_slots = std::size_t{1} << 12);
 
@@ -63,9 +73,10 @@ class LockFreeCutTable {
 
   /// True when the next intern() would report kTableFull on load factor.
   /// Lets a quiesce round skip the grow if a coalesced earlier round
-  /// already performed it.
+  /// already performed it. Conservative: counts every lane's unflushed
+  /// inserts at their worst case (see the file comment).
   [[nodiscard]] bool needs_grow() const {
-    return (count_.load(std::memory_order_relaxed) + 1) * 10 >=
+    return (count_.load(std::memory_order_relaxed) + slack_ + 1) * 10 >=
            slots_.size() * 7;
   }
 
@@ -75,9 +86,7 @@ class LockFreeCutTable {
   void grow(const SegmentedCutStore& store);
 
   /// Interned cuts. Exact at quiescence; a relaxed snapshot mid-run.
-  [[nodiscard]] std::size_t size() const {
-    return count_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t slot_count() const { return slots_.size(); }
   /// Total slot inspections across lanes (quiescent read).
   [[nodiscard]] std::int64_t probes() const;
@@ -101,12 +110,18 @@ class LockFreeCutTable {
            h;
   }
 
+  /// Inserts a lane counts locally before one shared fetch_add.
+  static constexpr std::uint32_t kFlushBlock = 64;
+
   struct alignas(64) LaneCounters {
     std::int64_t probes = 0;
+    /// Written only by the owning lane; atomic so size() may read it.
+    std::atomic<std::uint32_t> unflushed{0};
   };
 
   std::vector<std::atomic<std::uint64_t>> slots_;
-  std::atomic<std::size_t> count_{0};
+  std::atomic<std::size_t> count_{0};  // flushed inserts
+  std::size_t slack_;                  // lanes · (kFlushBlock − 1)
   std::vector<LaneCounters> lane_counters_;
   std::int64_t peak_bytes_ = 0;  // updated at construction + grow (quiescent)
   std::int64_t growths_ = 0;

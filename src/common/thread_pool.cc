@@ -198,16 +198,20 @@ void WorkFrontier::push_batch(std::size_t lane,
   deques_[lane].q.insert(deques_[lane].q.end(), items.begin(), items.end());
 }
 
-bool WorkFrontier::try_pop(std::size_t lane, std::uint32_t& out) {
+bool WorkFrontier::try_pop(std::size_t lane,
+                           std::vector<std::uint32_t>& batch) {
   Deque& d = deques_[lane];
   std::lock_guard lk(d.m);
   if (d.q.empty()) return false;
-  out = d.q.back();
-  d.q.pop_back();
+  const auto k =
+      static_cast<std::ptrdiff_t>(std::min(d.q.size(), kPopBatch));
+  batch.assign(d.q.rbegin(), d.q.rbegin() + k);
+  d.q.erase(d.q.end() - k, d.q.end());
   return true;
 }
 
-bool WorkFrontier::try_steal(std::size_t lane, std::uint32_t& out) {
+bool WorkFrontier::try_steal(std::size_t lane,
+                             std::vector<std::uint32_t>& batch) {
   const std::size_t count = deques_.size();
   auto& buf = deques_[lane].steal_buf;  // thief-owned scratch, no lock
   for (std::size_t d = 1; d < count; ++d) {
@@ -223,7 +227,7 @@ bool WorkFrontier::try_steal(std::size_t lane, std::uint32_t& out) {
       victim.q.erase(victim.q.begin(),
                      victim.q.begin() + static_cast<std::ptrdiff_t>(k));
     }
-    out = buf.front();
+    batch.assign(1, buf.front());
     if (buf.size() > 1) {
       std::lock_guard ok(deques_[lane].m);
       deques_[lane].q.insert(deques_[lane].q.end(), buf.begin() + 1,
@@ -280,12 +284,17 @@ void WorkFrontier::run_lane(
     std::lock_guard lk(qm_);
     ++active_;
   }
-  std::uint32_t item = 0;
+  std::vector<std::uint32_t> batch;
+  batch.reserve(kPopBatch);
   for (;;) {
     if (quiesce_flag_.load(std::memory_order_relaxed)) park();
-    if (try_pop(lane, item) || try_steal(lane, item)) {
-      process(item);
-      pending_.fetch_sub(1, std::memory_order_release);
+    if (try_pop(lane, batch) || try_steal(lane, batch)) {
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        if (i > 0 && quiesce_flag_.load(std::memory_order_relaxed)) park();
+        process(batch[i]);
+      }
+      pending_.fetch_sub(static_cast<std::int64_t>(batch.size()),
+                         std::memory_order_release);
       continue;
     }
     if (pending_.load(std::memory_order_acquire) == 0) break;

@@ -144,6 +144,12 @@ class ThreadPool {
 /// creates items. There is no barrier anywhere on the hot path: lanes push,
 /// pop, and steal fully independently.
 ///
+/// Batched pops: a lane takes up to kPopBatch items off the back of its
+/// own deque under one lock, processes them in LIFO order, and retires the
+/// whole batch from the in-flight counter with one RMW. A held batch is
+/// in flight (counted, not stealable), so the termination argument is
+/// unchanged; the lane still checks for a quiesce round between items.
+///
 /// Quiesce rendezvous: a lane that needs a globally-exclusive operation
 /// (growing the lock-free table) calls quiesce(fn) from inside its
 /// process() callback. Every active lane parks at the rendezvous between
@@ -187,14 +193,19 @@ class WorkFrontier {
   }
 
  private:
+  /// Items one pop takes off the lane's own deque.
+  static constexpr std::size_t kPopBatch = 8;
+
   struct alignas(64) Deque {
     std::mutex m;
     std::vector<std::uint32_t> q;          // guarded by m
     std::vector<std::uint32_t> steal_buf;  // scratch of the OWNER as thief
   };
 
-  bool try_pop(std::size_t lane, std::uint32_t& out);
-  bool try_steal(std::size_t lane, std::uint32_t& out);
+  /// Fill `batch` with up to kPopBatch items (own back, LIFO order) or
+  /// with one stolen item; false when there was nothing to take.
+  bool try_pop(std::size_t lane, std::vector<std::uint32_t>& batch);
+  bool try_steal(std::size_t lane, std::vector<std::uint32_t>& batch);
   /// Arrive at an open rendezvous round (or return if none); the last
   /// arriver runs the round's fn. Called with the flag observed set.
   void park();

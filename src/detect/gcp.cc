@@ -7,6 +7,7 @@
 #include "common/cut_hash.h"
 #include "common/cut_storage.h"
 #include "common/error.h"
+#include "detect/slot_clocks.h"
 
 namespace wcp::detect {
 
@@ -184,6 +185,7 @@ GcpResult detect_gcp_lattice(const Computation& comp,
   counts.reserve(channels.size());
   for (const auto& cp : channels)
     counts.push_back(build_counts(comp, cp.from, cp.to));
+  const SlotClockTable clocks(comp, res.procs);
 
   auto satisfies = [&](const std::vector<StateIndex>& cut) {
     for (std::size_t s = 0; s < w; ++s) {
@@ -229,18 +231,11 @@ GcpResult detect_gcp_lattice(const Computation& comp,
     }
 
     for (std::size_t s = 0; s < w; ++s) {
-      if (scratch[s] + 1 > comp.num_states(res.procs[s])) continue;
+      if (scratch[s] + 1 > clocks.num_states(s) ||
+          !clocks.advance_consistent(scratch, s))
+        continue;
       scratch[s] += 1;
-      bool consistent = true;
-      for (std::size_t t = 0; t < w && consistent; ++t) {
-        if (t == s) continue;
-        if (comp.happened_before(res.procs[s], scratch[s], res.procs[t],
-                                 scratch[t]) ||
-            comp.happened_before(res.procs[t], scratch[t], res.procs[s],
-                                 scratch[s]))
-          consistent = false;
-      }
-      if (consistent) visited.intern(arena, scratch, hasher(scratch));
+      visited.intern(arena, scratch, hasher(scratch));
       scratch[s] -= 1;
     }
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <utility>
@@ -12,6 +13,7 @@
 #include "common/error.h"
 #include "common/lockfree_table.h"
 #include "common/thread_pool.h"
+#include "detect/slot_clocks.h"
 
 namespace wcp::detect {
 
@@ -70,6 +72,13 @@ Cut witness_from_path(const Computation& comp, std::size_t n,
     }
   }
   return Cut(n, 1);
+}
+
+using Clock = std::chrono::steady_clock;
+
+/// Host wall clock for the results' explore_ms / replay_ms fields.
+double elapsed_ms(Clock::time_point from, Clock::time_point to = Clock::now()) {
+  return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
 // ---- lock-free concurrent exploration (ALGORITHMS.md §15) ------------------
@@ -139,6 +148,7 @@ class ConcurrentEngine {
         n_(procs_.size()),
         max_cuts_(max_cuts),
         definitely_mode_(definitely_mode),
+        clocks_(comp, procs_),
         store_(n_, lanes),
         table_(lanes),
         frontier_(lanes),
@@ -152,7 +162,7 @@ class ConcurrentEngine {
                 "concurrent engine requires 1..255 predicate slots");
     std::uint64_t total_states = 0;
     for (std::size_t s = 0; s < n_; ++s)
-      total_states += static_cast<std::uint64_t>(comp.num_states(procs_[s]));
+      total_states += static_cast<std::uint64_t>(clocks_.num_states(s));
     level_max_ = total_states - n_;
     WCP_REQUIRE(level_max_ < kNoCut, "lattice deeper than 2^32 levels");
     if (max_cuts_ >= 0) {
@@ -178,7 +188,7 @@ class ConcurrentEngine {
     std::fill(bottom.begin(), bottom.end(), 1u);
     std::uint8_t fc = 0;
     for (std::size_t s = 0; s < n_; ++s)
-      if (!comp_.local_pred(procs_[s], 1)) ++fc;
+      if (!clocks_.pred(s, 1)) ++fc;
     WCP_CHECK_MSG(!definitely_mode_ || fc > 0,
                   "definitely engine started on a satisfying bottom cut");
     const ZobristCutHash zob;
@@ -224,6 +234,7 @@ class ConcurrentEngine {
   std::size_t n_;
   std::int64_t max_cuts_;
   bool definitely_mode_;
+  SlotClockTable clocks_;
   std::uint64_t level_max_ = 0;
   CutHandle bottom_ = kNoCut;
 
@@ -262,20 +273,13 @@ void ConcurrentEngine::expand(std::size_t lane, CutHandle h) {
   for (std::size_t s = 0; s < n_; ++s) {
     succ[s] = kNoCut;
     const auto ks = static_cast<StateIndex>(buf[s]) + 1;
-    if (ks > comp_.num_states(procs_[s])) continue;
-    bool consistent = true;
-    for (std::size_t t = 0; t < n_ && consistent; ++t) {
-      if (t == s) continue;
-      const auto kt = static_cast<StateIndex>(buf[t]);
-      if (comp_.happened_before(procs_[s], ks, procs_[t], kt) ||
-          comp_.happened_before(procs_[t], kt, procs_[s], ks))
-        consistent = false;
-    }
-    if (!consistent) continue;
+    // One slot-clock row read decides consistency (slot_clocks.h).
+    if (ks > clocks_.num_states(s) || !clocks_.advance_consistent(buf, s))
+      continue;
     // Successor predicate state in O(1): only slot s changed.
     const auto fc = static_cast<std::uint8_t>(
-        parent_fc - (comp_.local_pred(procs_[s], ks - 1) ? 0 : 1) +
-        (comp_.local_pred(procs_[s], ks) ? 0 : 1));
+        parent_fc - (clocks_.pred(s, ks - 1) ? 0 : 1) +
+        (clocks_.pred(s, ks) ? 0 : 1));
     // definitely mode explores only predicate-avoiding cuts: satisfying
     // successors are filtered before interning, exactly like the serial
     // loop's `continue` — they must not enter the visited set at all.
@@ -334,16 +338,11 @@ void ConcurrentEngine::tighten_trunc_cap() {
 
 LatticeResult detect_lattice_serial(const Computation& comp,
                                     std::int64_t max_cuts) {
-  const auto procs = comp.predicate_processes();
-  const std::size_t n = procs.size();
+  const auto t0 = Clock::now();
+  const SlotClockTable clocks(comp, comp.predicate_processes());
+  const std::size_t n = clocks.width();
 
   LatticeResult res;
-
-  auto satisfies = [&](const Cut& cut) {
-    for (std::size_t s = 0; s < n; ++s)
-      if (!comp.local_pred(procs[s], cut[s])) return false;
-    return true;
-  };
 
   CutArena arena(n);
   CutTable visited;
@@ -367,7 +366,7 @@ LatticeResult detect_lattice_serial(const Computation& comp,
     arena.copy_to(static_cast<CutHandle>(head), scratch);
     ++res.cuts_explored;
 
-    if (satisfies(scratch)) {
+    if (clocks.satisfies(scratch)) {
       res.detected = true;
       res.cut = scratch;
       res.witness_path = collect_path_slots(
@@ -380,24 +379,15 @@ LatticeResult detect_lattice_serial(const Computation& comp,
       break;
     }
 
-    // Successors: advance one component; the result is a consistent cut iff
-    // no current component happened before the advanced state's successor
-    // ... i.e. the advanced state is not happened-after-excluded. Full
-    // pairwise check against the advanced component suffices because the
-    // rest of the cut was already consistent. The advance is done in place
-    // on `scratch` and undone after the intern — no temporary cut.
+    // Successors: advance one component; one slot-clock row read decides
+    // consistency (slot_clocks.h). The advance is done in place on
+    // `scratch` and undone after the intern — no temporary cut.
     for (std::size_t s = 0; s < n; ++s) {
-      if (scratch[s] + 1 > comp.num_states(procs[s])) continue;
+      if (scratch[s] + 1 > clocks.num_states(s) ||
+          !clocks.advance_consistent(scratch, s))
+        continue;
       scratch[s] += 1;
-      bool consistent = true;
-      for (std::size_t t = 0; t < n && consistent; ++t) {
-        if (t == s) continue;
-        if (comp.happened_before(procs[s], scratch[s], procs[t], scratch[t]) ||
-            comp.happened_before(procs[t], scratch[t], procs[s], scratch[s]))
-          consistent = false;
-      }
-      if (consistent &&
-          visited.intern(arena, scratch, hasher(scratch)).inserted)
+      if (visited.intern(arena, scratch, hasher(scratch)).inserted)
         links.push_back(
             {static_cast<CutHandle>(head), static_cast<std::uint32_t>(s)});
       scratch[s] -= 1;
@@ -405,6 +395,7 @@ LatticeResult detect_lattice_serial(const Computation& comp,
   }
   arena.add_stats(res.storage);
   visited.add_stats(res.storage);
+  res.explore_ms = elapsed_ms(t0);
   return res;
 }
 
@@ -519,32 +510,32 @@ LatticeResult detect_lattice_concurrent(const Computation& comp,
       comp, max_cuts,
       std::min(pool.num_threads(), SegmentedCutStore::kMaxLanes),
       /*definitely_mode=*/false);
+  const auto t0 = Clock::now();
   engine.run(pool);
-  return engine.replay_lattice();
+  const auto t1 = Clock::now();
+  LatticeResult res = engine.replay_lattice();
+  res.explore_ms = elapsed_ms(t0, t1);
+  res.replay_ms = elapsed_ms(t1);
+  return res;
 }
 
 DefinitelyResult detect_definitely_serial(const Computation& comp,
                                           std::int64_t max_cuts) {
-  const auto procs = comp.predicate_processes();
-  const std::size_t n = procs.size();
+  const auto t0 = Clock::now();
+  const SlotClockTable clocks(comp, comp.predicate_processes());
+  const std::size_t n = clocks.width();
 
   DefinitelyResult res;
 
-  auto satisfies = [&](const Cut& cut) {
-    for (std::size_t s = 0; s < n; ++s)
-      if (!comp.local_pred(procs[s], cut[s])) return false;
-    return true;
-  };
-
   Cut top(n);
-  for (std::size_t s = 0; s < n; ++s) top[s] = comp.num_states(procs[s]);
+  for (std::size_t s = 0; s < n; ++s) top[s] = clocks.num_states(s);
 
   // Search for an observation that AVOIDS the predicate: BFS through
   // non-satisfying consistent cuts. If the top cut is reachable (or is
   // itself non-satisfying while reachable), some observation misses the
   // predicate => not definitely.
   Cut scratch(n, 1);
-  if (satisfies(scratch)) {
+  if (clocks.satisfies(scratch)) {
     // Every observation starts at the bottom cut.
     res.definitely = true;
     res.cuts_explored = 1;
@@ -580,20 +571,14 @@ DefinitelyResult detect_definitely_serial(const Computation& comp,
     }
 
     for (std::size_t s = 0; s < n; ++s) {
-      if (scratch[s] + 1 > comp.num_states(procs[s])) continue;
+      if (scratch[s] + 1 > clocks.num_states(s) ||
+          !clocks.advance_consistent(scratch, s))
+        continue;
       scratch[s] += 1;
-      bool consistent = true;
-      for (std::size_t t = 0; t < n && consistent; ++t) {
-        if (t == s) continue;
-        if (comp.happened_before(procs[s], scratch[s], procs[t], scratch[t]) ||
-            comp.happened_before(procs[t], scratch[t], procs[s], scratch[s]))
-          consistent = false;
-      }
-      if (consistent && !satisfies(scratch)) {  // blocked by the WCP
-        if (visited.intern(arena, scratch, hasher(scratch)).inserted)
-          links.push_back(
-              {static_cast<CutHandle>(head), static_cast<std::uint32_t>(s)});
-      }
+      if (!clocks.satisfies(scratch) &&  // blocked by the WCP
+          visited.intern(arena, scratch, hasher(scratch)).inserted)
+        links.push_back(
+            {static_cast<CutHandle>(head), static_cast<std::uint32_t>(s)});
       scratch[s] -= 1;
     }
   }
@@ -601,6 +586,7 @@ DefinitelyResult detect_definitely_serial(const Computation& comp,
   // observations hit the predicate (res.definitely stayed true).
   arena.add_stats(res.storage);
   visited.add_stats(res.storage);
+  res.explore_ms = elapsed_ms(t0);
   return res;
 }
 
@@ -627,8 +613,13 @@ DefinitelyResult detect_definitely_concurrent(const Computation& comp,
       comp, max_cuts,
       std::min(pool.num_threads(), SegmentedCutStore::kMaxLanes),
       /*definitely_mode=*/true);
+  const auto t0 = Clock::now();
   engine.run(pool);
-  return engine.replay_definitely();
+  const auto t1 = Clock::now();
+  DefinitelyResult res = engine.replay_definitely();
+  res.explore_ms = elapsed_ms(t0, t1);
+  res.replay_ms = elapsed_ms(t1);
+  return res;
 }
 
 }  // namespace

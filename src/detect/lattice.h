@@ -23,6 +23,8 @@
 // serial path at every thread count (tests/flat_storage_equiv_test.cc
 // byte-diffs full JSON reports at threads 1/2/4/8). Front ends resolve a
 // user's `--threads 0` through detect::resolve_threads (detect/registry.h).
+// Both engines decide a successor's consistency with one row read of a
+// per-search slot-clock table (detect/slot_clocks.h).
 // Cut storage: both detectors keep every visited cut in flat arenas
 // (common/cut_storage.h) — packed 32-bit components, open-addressing
 // dedup tables with precomputed hashes, dense-handle parent vectors —
@@ -59,6 +61,12 @@ struct LatticeResult {
   std::vector<std::uint32_t> witness_path;
   CutStorageStats storage;           // measured cut-storage footprint
   TraceStoreStats trace_store;       // clock-store footprint (thread-invariant)
+  /// Host wall clock of the search phases — like RunStats::wall_ms, the
+  /// only non-deterministic fields, and never written into a run report.
+  /// explore_ms: the concurrent phase (the whole BFS on the serial path);
+  /// replay_ms: the concurrent path's serial replay (0 on the serial path).
+  double explore_ms = 0.0;
+  double replay_ms = 0.0;
 };
 
 /// Explores at most `max_cuts` consistent cuts (<0: unbounded). `threads`:
@@ -90,6 +98,8 @@ struct DefinitelyResult {
   std::vector<std::uint32_t> witness_path;
   CutStorageStats storage;  ///< measured cut-storage footprint
   TraceStoreStats trace_store;  ///< clock-store footprint (thread-invariant)
+  double explore_ms = 0.0;  ///< host wall clock, as in LatticeResult
+  double replay_ms = 0.0;   ///< host wall clock, as in LatticeResult
 };
 
 DefinitelyResult detect_definitely(const Computation& comp,

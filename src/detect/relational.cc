@@ -3,6 +3,7 @@
 #include "common/cut_hash.h"
 #include "common/cut_storage.h"
 #include "common/error.h"
+#include "detect/slot_clocks.h"
 
 namespace wcp::detect {
 
@@ -12,6 +13,10 @@ GeneralResult detect_possibly_general(const pred::VarComputation& vc,
   WCP_REQUIRE(phi != nullptr, "null global predicate");
   const Computation& comp = vc.computation;
   const std::size_t N = comp.num_processes();
+  std::vector<ProcessId> all;
+  all.reserve(N);
+  for (std::size_t p = 0; p < N; ++p) all.emplace_back(static_cast<int>(p));
+  const SlotClockTable clocks(comp, all);
 
   GeneralResult res;
 
@@ -50,18 +55,11 @@ GeneralResult detect_possibly_general(const pred::VarComputation& vc,
       return res;
     }
     for (std::size_t p = 0; p < N; ++p) {
-      const ProcessId pid(static_cast<int>(p));
-      if (scratch[p] + 1 > comp.num_states(pid)) continue;
+      if (scratch[p] + 1 > clocks.num_states(p) ||
+          !clocks.advance_consistent(scratch, p))
+        continue;
       scratch[p] += 1;
-      bool consistent = true;
-      for (std::size_t t = 0; t < N && consistent; ++t) {
-        if (t == p) continue;
-        const ProcessId tid(static_cast<int>(t));
-        if (comp.happened_before(pid, scratch[p], tid, scratch[t]) ||
-            comp.happened_before(tid, scratch[t], pid, scratch[p]))
-          consistent = false;
-      }
-      if (consistent) visited.intern(arena, scratch, hasher(scratch));
+      visited.intern(arena, scratch, hasher(scratch));
       scratch[p] -= 1;
     }
   }

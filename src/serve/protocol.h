@@ -13,7 +13,8 @@
 //   HELLO      magic "wcpstrm1" (8 bytes), u32 version=1, u32 slots,
 //              u32 num_predicates (1..64)
 //   SUBSCRIBE  u32 sub_id, u8 algo (StreamAlgo), u32 pred_index,
-//              i64 max_cuts (<0: server default; lattice only)
+//              i64 max_cuts (<0: server budget; lattice only; clamped
+//              to the server budget when that is >= 0)
 //   SNAPSHOT   u32 slot, u64 pred_mask (bit j = predicate j's local value),
 //              slots x u64 vector-clock components (own component = the
 //              1-based state index)

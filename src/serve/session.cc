@@ -123,8 +123,12 @@ void Session::apply_subscribe(const SubscribeBody& b, std::uint64_t seq) {
                                                            app::CoreHooks{});
       break;
     case StreamAlgo::kLatticeOnline: {
-      const std::int64_t max_cuts =
-          b.max_cuts >= 0 ? b.max_cuts : opts_.lattice_max_cuts;
+      // A client may lower the server's budget, never raise it: one
+      // SUBSCRIBE must not pin a loop thread on an O(m^n) lattice.
+      std::int64_t max_cuts = opts_.lattice_max_cuts;
+      if (b.max_cuts >= 0)
+        max_cuts = max_cuts >= 0 ? std::min(b.max_cuts, max_cuts)
+                                 : b.max_cuts;
       sub.core = std::make_unique<detect::LatticeOnlineCore>(
           *sub.view, app::CoreHooks{}, max_cuts);
       break;

@@ -51,8 +51,9 @@ struct ServeOptions {
   std::size_t gc_every = 64;
   /// Max out-of-order frames stashed before the connection is failed.
   std::size_t reseq_window = 256;
-  /// Default cut budget for lattice-online subscriptions that pass
-  /// max_cuts < 0 (guards the daemon against O(m^n) blowup; <0: unbounded).
+  /// Cut budget for lattice-online subscriptions (guards the daemon
+  /// against O(m^n) blowup; <0: unbounded). A SUBSCRIBE's own max_cuts
+  /// >= 0 can only lower it.
   std::int64_t lattice_max_cuts = 1'000'000;
 };
 

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 
 #include "common/json.h"
 #include "detect/report.h"
+#include "detect/slot_clocks.h"
 #include "workload/random_workload.h"
 
 namespace wcp::detect {
@@ -188,6 +190,80 @@ TEST(Lattice, DefinitelyParallelMatchesSerialOnRandomSweep) {
       EXPECT_EQ(par.cuts_explored, serial.cuts_explored) << "seed " << seed;
       EXPECT_EQ(par.truncated, serial.truncated) << "seed " << seed;
       EXPECT_EQ(par.witness, serial.witness) << "seed " << seed;
+    }
+  }
+}
+
+// ---- successor kernel ---------------------------------------------------
+//
+// Differential test of the one-direction slot-clock check (slot_clocks.h)
+// against the full pairwise oracle: from every consistent cut reachable
+// from the bottom, every slot advance must get the same answer from
+// SlotClockTable::advance_consistent as from Computation::is_consistent_cut.
+// The predicates never hold, so the engines' searches are exhaustive and
+// must visit exactly the cuts enumerated here.
+
+/// All consistent cuts over `procs` reachable from the bottom, enumerated
+/// with the oracle alone; checks the kernel at every advance on the way.
+std::size_t check_kernel_exhaustively(const Computation& comp,
+                                      std::span<const ProcessId> procs) {
+  const SlotClockTable clocks(comp, procs);
+  const std::size_t w = procs.size();
+  for (std::size_t s = 0; s < w; ++s) {
+    EXPECT_EQ(clocks.num_states(s), comp.num_states(procs[s]));
+    for (StateIndex k = 1; k <= clocks.num_states(s); ++k)
+      EXPECT_EQ(clocks.pred(s, k), comp.local_pred(procs[s], k));
+  }
+  std::set<std::vector<StateIndex>> seen;
+  std::vector<std::vector<StateIndex>> stack{std::vector<StateIndex>(w, 1)};
+  seen.insert(stack.back());
+  while (!stack.empty()) {
+    const std::vector<StateIndex> cut = std::move(stack.back());
+    stack.pop_back();
+    for (std::size_t s = 0; s < w; ++s) {
+      if (cut[s] == comp.num_states(procs[s])) continue;
+      std::vector<StateIndex> next = cut;
+      next[s] += 1;
+      const bool oracle = comp.is_consistent_cut(procs, next);
+      EXPECT_EQ(clocks.advance_consistent(cut, s), oracle)
+          << "slot " << s << " of a " << w << "-slot cut";
+      if (oracle && seen.insert(next).second) stack.push_back(next);
+    }
+  }
+  return seen.size();
+}
+
+TEST(Lattice, SlotClockKernelMatchesPairwiseOracle) {
+  struct Shape {
+    std::size_t N, n;
+    std::int64_t events;
+  };
+  for (const Shape shape : {Shape{6, 6, 3}, Shape{6, 6, 4}, Shape{5, 3, 5},
+                            Shape{4, 4, 8}, Shape{3, 2, 12}}) {
+    for (std::uint64_t seed = 0; seed < 6; ++seed) {
+      workload::RandomSpec spec;
+      spec.num_processes = shape.N;
+      spec.num_predicate = shape.n;
+      spec.random_predicate_subset = shape.N != shape.n;
+      spec.events_per_process = shape.events;
+      spec.local_pred_prob = 0.0;  // never holds: exhaustive searches
+      spec.seed = seed;
+      const auto comp = workload::make_random(spec);
+      ASSERT_GT(comp.messages().size(), 0u);
+      const std::size_t cuts =
+          check_kernel_exhaustively(comp, comp.predicate_processes());
+      for (std::size_t threads : {1u, 4u}) {
+        const auto lat = detect_lattice(comp, -1, threads);
+        EXPECT_FALSE(lat.detected);
+        EXPECT_EQ(lat.cuts_explored, static_cast<std::int64_t>(cuts))
+            << "N=" << shape.N << " n=" << shape.n << " seed " << seed;
+      }
+      // Over every process, as the GCP and relational searches build it
+      // (non-predicate processes included).
+      std::vector<ProcessId> all;
+      for (std::size_t p = 0; p < shape.N; ++p)
+        all.emplace_back(static_cast<int>(p));
+      check_kernel_exhaustively(comp, all);
     }
   }
 }

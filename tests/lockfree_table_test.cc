@@ -92,6 +92,69 @@ TEST(LockFreeCutTable, GrowRehashesEveryEntry) {
   }
 }
 
+// Inserts are counted per lane and flushed to the shared count in blocks,
+// so the load-factor gate must budget for every lane's unflushed inserts.
+// Four lane ids take turns on one thread (so size() is exact after every
+// call), each holding a different unflushed remainder; the table must
+// always grow before its true load reaches 0.7.
+TEST(LockFreeCutTable, GrowsBeforeLoadFactorWithUnflushedLanes) {
+  constexpr std::size_t kLanes = 4;
+  SegmentedCutStore store(2, kLanes);
+  LockFreeCutTable table(kLanes, /*initial_slots=*/16);
+  constexpr std::uint32_t kCount = 20'000;
+  for (std::uint32_t i = 1; i <= kCount; ++i) {
+    // Uneven lane schedule: lane 0 inserts most, lane 3 least.
+    const std::size_t lane = i % 7 < 3 ? 0 : i % 7 < 5 ? 1 : i % 7 < 6 ? 2 : 3;
+    const PackedCut c{i, 2 * i};
+    for (;;) {
+      const auto r = table.intern(lane, store, c, zhash(c), 0, 0);
+      if (r.outcome == LockFreeCutTable::Outcome::kTableFull) {
+        table.grow(store);
+        continue;
+      }
+      ASSERT_EQ(r.outcome, LockFreeCutTable::Outcome::kInserted);
+      break;
+    }
+    ASSERT_EQ(table.size(), i);
+    ASSERT_LT(table.size() * 10, table.slot_count() * 7)
+        << "load factor reached 0.7 at " << i << " cuts";
+  }
+  EXPECT_GT(table.growths(), 2);
+}
+
+// After concurrent inserts, size() adds every lane's unflushed remainder
+// back: exact at quiescence, whatever the per-lane counts are.
+TEST(LockFreeCutTable, SizeExactAfterConcurrentInserts) {
+  constexpr std::size_t kLanes = 4;
+  constexpr std::uint32_t kShared = 3'000;  // every lane interns these
+  SegmentedCutStore store(2, kLanes);
+  LockFreeCutTable table(kLanes, /*initial_slots=*/1 << 15);
+  std::vector<std::thread> threads;
+  std::vector<std::size_t> own(kLanes);
+  for (std::size_t t = 0; t < kLanes; ++t) {
+    // Private counts deliberately not multiples of the flush block.
+    own[t] = 1'000 + 37 * t;
+    threads.emplace_back([&, t] {
+      for (std::uint32_t i = 0; i < kShared; ++i) {
+        const PackedCut c{i, 0};
+        ASSERT_NE(table.intern(t, store, c, zhash(c), 0, 0).outcome,
+                  LockFreeCutTable::Outcome::kTableFull);
+      }
+      for (std::uint32_t i = 0; i < own[t]; ++i) {
+        const PackedCut c{i, static_cast<std::uint32_t>(t + 1)};
+        ASSERT_EQ(table.intern(t, store, c, zhash(c), 0, 0).outcome,
+                  LockFreeCutTable::Outcome::kInserted);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  std::size_t expect = kShared;
+  for (const std::size_t n : own) expect += n;
+  EXPECT_EQ(table.size(), expect);
+  EXPECT_EQ(store.total_cuts(), expect);
+  EXPECT_EQ(table.growths(), 0);
+}
+
 // The satellite hammer: 8 threads intern overlapping randomized batches
 // drawn from one shared pool of distinct cuts. Exact dedup — every distinct
 // cut interned by exactly one CAS win, every loser handed the winner's

@@ -105,6 +105,51 @@ TEST(ServeSession, MultiTenantPredicateBits) {
   EXPECT_EQ(s.session.stats().subscriptions, 3);
 }
 
+/// Streams two independent processes of `states` states each with predicate
+/// bit 0 never true — a (states x states)-cut lattice with nothing to find
+/// — into a lattice-online subscription asking for `client_max_cuts`.
+VerdictBody lattice_budget_verdict(std::int64_t server_max_cuts,
+                                   std::int64_t client_max_cuts,
+                                   StateIndex states) {
+  ServeOptions opts;
+  opts.lattice_max_cuts = server_max_cuts;
+  Session session(opts, [](std::vector<std::uint8_t>) {});
+  std::vector<Frame> frames = {
+      make_hello(2, 1),
+      make_subscribe(0, StreamAlgo::kLatticeOnline, 0, client_max_cuts)};
+  for (StateIndex k = 1; k <= states; ++k) {
+    frames.push_back(make_snapshot(0, 0, {k, 0}));
+    frames.push_back(make_snapshot(1, 0, {0, k}));
+  }
+  frames.push_back(make_finish());
+  for (std::size_t i = 0; i < frames.size(); ++i)
+    session.on_frame(encode_frame(frames[i], i));
+  EXPECT_TRUE(session.finished());
+  EXPECT_EQ(session.verdicts().size(), 1u);
+  return session.verdicts().at(0);
+}
+
+TEST(ServeSession, ClientLatticeBudgetIsClampedToTheServers) {
+  // 16 cuts, server budget 5: a client asking for 10^9 cuts still stops
+  // at the server's budget.
+  VerdictBody v = lattice_budget_verdict(5, 1'000'000'000, 4);
+  EXPECT_FALSE(v.detected);
+  EXPECT_TRUE(v.truncated) << "client budget must not exceed the server's";
+  // A client may lower the budget below the server's...
+  v = lattice_budget_verdict(1'000, 5, 4);
+  EXPECT_TRUE(v.truncated);
+  // ...and the server's budget applies when the client passes none.
+  v = lattice_budget_verdict(1'000, -1, 4);
+  EXPECT_FALSE(v.truncated);
+  v = lattice_budget_verdict(5, -1, 4);
+  EXPECT_TRUE(v.truncated);
+  // An unbounded server honours any explicit client budget.
+  v = lattice_budget_verdict(-1, 1'000'000'000, 4);
+  EXPECT_FALSE(v.truncated);
+  v = lattice_budget_verdict(-1, 5, 4);
+  EXPECT_TRUE(v.truncated);
+}
+
 TEST(ServeSession, OutOfOrderFramesAreResequenced) {
   ServeOptions opts;
   std::vector<Frame> out;
