@@ -4,8 +4,6 @@
 #include <map>
 #include <ostream>
 
-#include "common/cut_hash.h"
-#include "common/cut_storage.h"
 #include "common/error.h"
 #include "detect/slot_clocks.h"
 
@@ -81,6 +79,32 @@ std::vector<ProcessId> gcp_process_set(
   return procs;
 }
 
+/// One channel predicate with its event counts and the cut slots of its
+/// endpoints within the GCP's process set.
+struct ChannelState {
+  ChannelPredicate pred;
+  ChannelCounts counts;
+  std::size_t from_slot, to_slot;
+
+  /// Whether the predicate holds with `from` at state f and `to` at t.
+  [[nodiscard]] bool holds(StateIndex f, StateIndex t) const {
+    return pred.holds(counts.sent_before(f) - counts.received_at(t));
+  }
+};
+
+std::vector<ChannelState> channel_states(
+    const Computation& comp, std::span<const ChannelPredicate> channels,
+    std::span<const ProcessId> procs) {
+  std::map<ProcessId, std::size_t> slot_of;
+  for (std::size_t s = 0; s < procs.size(); ++s) slot_of[procs[s]] = s;
+  std::vector<ChannelState> chans;
+  chans.reserve(channels.size());
+  for (const auto& cp : channels)
+    chans.push_back(ChannelState{cp, build_counts(comp, cp.from, cp.to),
+                                 slot_of.at(cp.from), slot_of.at(cp.to)});
+  return chans;
+}
+
 }  // namespace
 
 std::int64_t in_transit(const Computation& comp, ProcessId from,
@@ -97,9 +121,6 @@ GcpResult detect_gcp(const Computation& comp,
   const std::size_t w = res.procs.size();
   WCP_REQUIRE(w >= 1, "GCP over an empty process set");
 
-  std::map<ProcessId, std::size_t> slot_of;
-  for (std::size_t s = 0; s < w; ++s) slot_of[res.procs[s]] = s;
-
   // Admissible states per slot: local-predicate states for predicate
   // processes, every state otherwise.
   std::vector<std::vector<StateIndex>> cand(w);
@@ -111,16 +132,7 @@ GcpResult detect_gcp(const Computation& comp,
     if (cand[s].empty()) return res;  // local predicate never holds
   }
 
-  struct ChannelState {
-    ChannelPredicate pred;
-    ChannelCounts counts;
-    std::size_t from_slot, to_slot;
-  };
-  std::vector<ChannelState> chans;
-  chans.reserve(channels.size());
-  for (const auto& cp : channels)
-    chans.push_back(ChannelState{cp, build_counts(comp, cp.from, cp.to),
-                                 slot_of.at(cp.from), slot_of.at(cp.to)});
+  const auto chans = channel_states(comp, channels, res.procs);
 
   std::vector<std::size_t> pos(w, 0);
   auto advance = [&](std::size_t s) -> bool {
@@ -148,10 +160,9 @@ GcpResult detect_gcp(const Computation& comp,
     // Channel-predicate eliminations (linear-predicate forbidden states).
     for (const auto& ch : chans) {
       ++res.channel_evals;
-      const std::int64_t transit =
-          ch.counts.sent_before(cand[ch.from_slot][pos[ch.from_slot]]) -
-          ch.counts.received_at(cand[ch.to_slot][pos[ch.to_slot]]);
-      if (ch.pred.holds(transit)) continue;
+      if (ch.holds(cand[ch.from_slot][pos[ch.from_slot]],
+                   cand[ch.to_slot][pos[ch.to_slot]]))
+        continue;
       // Violated: for receiver-monotone predicates (empty / at-most) the
       // receiver's candidate can never appear in the first satisfying cut;
       // for sender-monotone (at-least) the sender's can't (see gcp.h).
@@ -178,68 +189,31 @@ GcpResult detect_gcp_lattice(const Computation& comp,
   const std::size_t w = res.procs.size();
   WCP_REQUIRE(w >= 1, "GCP over an empty process set");
 
-  std::map<ProcessId, std::size_t> slot_of;
-  for (std::size_t s = 0; s < w; ++s) slot_of[res.procs[s]] = s;
-
-  std::vector<ChannelCounts> counts;
-  counts.reserve(channels.size());
-  for (const auto& cp : channels)
-    counts.push_back(build_counts(comp, cp.from, cp.to));
+  // Slots whose process carries a local predicate.
+  std::vector<std::size_t> constrained;
+  for (std::size_t s = 0; s < w; ++s)
+    if (comp.predicate_slot(res.procs[s]) >= 0) constrained.push_back(s);
+  const auto chans = channel_states(comp, channels, res.procs);
   const SlotClockTable clocks(comp, res.procs);
 
-  auto satisfies = [&](const std::vector<StateIndex>& cut) {
-    for (std::size_t s = 0; s < w; ++s) {
-      const ProcessId p = res.procs[s];
-      if (comp.predicate_slot(p) >= 0 && !comp.local_pred(p, cut[s]))
-        return false;
-    }
-    for (std::size_t c = 0; c < channels.size(); ++c) {
-      ++res.channel_evals;
-      const std::int64_t transit =
-          counts[c].sent_before(cut[slot_of.at(channels[c].from)]) -
-          counts[c].received_at(cut[slot_of.at(channels[c].to)]);
-      if (!channels[c].holds(transit)) return false;
-    }
-    return true;
-  };
+  const auto out = search_cuts</*kLinks=*/false>(
+      clocks, max_cuts,
+      [&](const std::vector<StateIndex>& cut) {
+        for (const std::size_t s : constrained)
+          if (!clocks.pred(s, cut[s])) return false;
+        for (const auto& ch : chans) {
+          ++res.channel_evals;
+          if (!ch.holds(cut[ch.from_slot], cut[ch.to_slot])) return false;
+        }
+        return true;
+      },
+      [](const std::vector<StateIndex>&) { return true; });
 
-  // Flat-storage BFS (common/cut_storage.h): cuts enter the arena in FIFO
-  // order, so the explicit frontier queue collapses into the sweep index.
-  CutArena arena(w);
-  CutTable visited;
-  const CutHash hasher;
-  std::vector<StateIndex> scratch(w, 1);
-  visited.intern(arena, scratch, hasher(scratch));
-
-  const auto fill_stats = [&] {
-    arena.add_stats(res.storage);
-    visited.add_stats(res.storage);
-  };
-
-  for (std::size_t head = 0; head < arena.size(); ++head) {
-    arena.copy_to(static_cast<CutHandle>(head), scratch);
-    ++res.cuts_explored;
-    if (satisfies(scratch)) {
-      res.detected = true;
-      res.cut = scratch;
-      fill_stats();
-      return res;
-    }
-    if (max_cuts >= 0 && res.cuts_explored >= max_cuts) {
-      fill_stats();
-      return res;
-    }
-
-    for (std::size_t s = 0; s < w; ++s) {
-      if (scratch[s] + 1 > clocks.num_states(s) ||
-          !clocks.advance_consistent(scratch, s))
-        continue;
-      scratch[s] += 1;
-      visited.intern(arena, scratch, hasher(scratch));
-      scratch[s] -= 1;
-    }
-  }
-  fill_stats();
+  res.detected = out.found;
+  res.truncated = out.truncated;
+  res.cut = out.cut;
+  res.cuts_explored = out.cuts_explored;
+  res.storage = out.storage;
   return res;
 }
 

@@ -71,6 +71,10 @@ std::ostream& operator<<(std::ostream& os, const ChannelPredicate& cp);
 
 struct GcpResult {
   bool detected = false;
+  /// Lattice oracle only: stopped at its max_cuts cap before finding a
+  /// satisfying cut, so detected == false proves nothing. Oracle
+  /// comparisons must check it is false.
+  bool truncated = false;
   /// Cut over the GCP's process set: the predicate processes of the
   /// computation plus every channel endpoint, in `procs` order.
   std::vector<ProcessId> procs;
@@ -87,7 +91,9 @@ GcpResult detect_gcp(const Computation& comp,
                      std::span<const ChannelPredicate> channels);
 
 /// Brute-force lattice oracle: BFS over consistent cuts of the same process
-/// set, returning the first (minimal-level) satisfying cut.
+/// set (the shared search_cuts of detect/slot_clocks.h), returning the first
+/// (minimal-level) satisfying cut. Explores at most `max_cuts` cuts (<0:
+/// unbounded) and sets `truncated` when it stops at that cap.
 GcpResult detect_gcp_lattice(const Computation& comp,
                              std::span<const ChannelPredicate> channels,
                              std::int64_t max_cuts = -1);

@@ -21,42 +21,6 @@ namespace {
 
 using Cut = std::vector<StateIndex>;
 
-// ---- flat cut storage -------------------------------------------------------
-//
-// Every visited cut lives exactly once in a CutArena (packed 32-bit
-// components, dense handles); the visited set / parent map are a CutTable
-// plus a handle-indexed parent vector. One consequence the serial code
-// below leans on: serial BFS needs no frontier queue at all — cuts enter
-// the arena in exactly the order the queue would pop them, so the frontier
-// is the arena suffix [head, size) and its size is size() - head.
-
-/// BFS parent offset of one interned cut: the reference of its predecessor
-/// (the bottom cut references itself) plus which slot the advance took.
-/// Witness paths are rebuilt from these 12-byte links on demand — the full
-/// predecessor cuts are never retained (ltsmin-style trace reconstruction).
-template <typename Ref>
-struct ParentLink {
-  Ref parent;
-  std::uint32_t slot;
-};
-
-inline constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-
-/// Walks the parent offsets from `top` back to the bottom cut and returns
-/// the advanced slot of every step, bottom first.
-template <typename Ref, typename LinkOf>
-std::vector<std::uint32_t> collect_path_slots(Ref top, const LinkOf& link_of) {
-  std::vector<std::uint32_t> slots;
-  for (Ref c = top;;) {
-    const auto link = link_of(c);
-    if (link.parent == c) break;
-    slots.push_back(link.slot);
-    c = link.parent;
-  }
-  std::reverse(slots.begin(), slots.end());
-  return slots;
-}
-
 /// When definitely == false, the witness is the first cut on the avoiding
 /// path that diverges past the pointwise-minimal satisfying cut (the bottom
 /// cut when the predicate never holds). Each path step advances exactly one
@@ -141,14 +105,12 @@ void fetch_min(std::atomic<std::uint32_t>& a, std::uint32_t v) {
 
 class ConcurrentEngine {
  public:
-  ConcurrentEngine(const Computation& comp, std::int64_t max_cuts,
+  ConcurrentEngine(SlotClockTable clocks, std::int64_t max_cuts,
                    std::size_t lanes, bool definitely_mode)
-      : comp_(comp),
-        procs_(comp.predicate_processes()),
-        n_(procs_.size()),
+      : n_(clocks.width()),
         max_cuts_(max_cuts),
         definitely_mode_(definitely_mode),
-        clocks_(comp, procs_),
+        clocks_(std::move(clocks)),
         store_(n_, lanes),
         table_(lanes),
         frontier_(lanes),
@@ -215,8 +177,10 @@ class ConcurrentEngine {
         /*grain=*/1);
   }
 
-  LatticeResult replay_lattice() const;
-  DefinitelyResult replay_definitely() const;
+  /// Replay phase: the serial BFS over the recorded successor graph. The
+  /// goal is the engine's mode — the first satisfying cut (possibly) or the
+  /// top cut (definitely).
+  CutSearchOutcome replay() const;
 
  private:
   [[nodiscard]] std::uint32_t cap() const {
@@ -229,8 +193,6 @@ class ConcurrentEngine {
 
   struct ReplayMaps;
 
-  const Computation& comp_;
-  std::span<const ProcessId> procs_;
   std::size_t n_;
   std::int64_t max_cuts_;
   bool definitely_mode_;
@@ -336,98 +298,30 @@ void ConcurrentEngine::tighten_trunc_cap() {
   }
 }
 
-LatticeResult detect_lattice_serial(const Computation& comp,
-                                    std::int64_t max_cuts) {
-  const auto t0 = Clock::now();
-  const SlotClockTable clocks(comp, comp.predicate_processes());
-  const std::size_t n = clocks.width();
-
-  LatticeResult res;
-
-  CutArena arena(n);
-  CutTable visited;
-  const CutHash hasher;
-  // links[h] = parent offset of the cut with handle h, enough to rebuild
-  // the BFS path to any visited cut without storing predecessor cuts.
-  std::vector<ParentLink<CutHandle>> links;
-
-  // The initial cut (all 1s) is always consistent: state 1 has no receives
-  // before it, so nothing happened before it on another process. From here
-  // on, `scratch` is the only live std::vector — every visited cut is
-  // interned into the arena, and the BFS frontier is the arena suffix of
-  // not-yet-explored handles.
-  Cut scratch(n, 1);
-  visited.intern(arena, scratch, hasher(scratch));
-  links.push_back({0, kNoSlot});
-
-  for (std::size_t head = 0; head < arena.size(); ++head) {
-    res.max_frontier = std::max(
-        res.max_frontier, static_cast<std::int64_t>(arena.size() - head));
-    arena.copy_to(static_cast<CutHandle>(head), scratch);
-    ++res.cuts_explored;
-
-    if (clocks.satisfies(scratch)) {
-      res.detected = true;
-      res.cut = scratch;
-      res.witness_path = collect_path_slots(
-          static_cast<CutHandle>(head),
-          [&](CutHandle c) { return links[c]; });
-      break;
-    }
-    if (max_cuts >= 0 && res.cuts_explored >= max_cuts) {
-      res.truncated = true;
-      break;
-    }
-
-    // Successors: advance one component; one slot-clock row read decides
-    // consistency (slot_clocks.h). The advance is done in place on
-    // `scratch` and undone after the intern — no temporary cut.
-    for (std::size_t s = 0; s < n; ++s) {
-      if (scratch[s] + 1 > clocks.num_states(s) ||
-          !clocks.advance_consistent(scratch, s))
-        continue;
-      scratch[s] += 1;
-      if (visited.intern(arena, scratch, hasher(scratch)).inserted)
-        links.push_back(
-            {static_cast<CutHandle>(head), static_cast<std::uint32_t>(s)});
-      scratch[s] -= 1;
-    }
-  }
-  arena.add_stats(res.storage);
-  visited.add_stats(res.storage);
-  res.explore_ms = elapsed_ms(t0);
-  return res;
-}
-
-/// Per-lane seen flags and parent links for the replay BFS, indexed by the
-/// (lane, local) decomposition of the store's handles.
+/// Parent links of the replay BFS, indexed by the (lane, local)
+/// decomposition of the store's handles. parent == kNoCut marks a cut the
+/// replay has not reached yet (the bottom cut is its own parent).
 struct ConcurrentEngine::ReplayMaps {
-  explicit ReplayMaps(const SegmentedCutStore& store)
-      : seen(store.lanes()), parent(store.lanes()) {
-    for (std::size_t lane = 0; lane < store.lanes(); ++lane) {
-      seen[lane].assign(store.lane_count(lane), 0);
-      parent[lane].assign(store.lane_count(lane), {kNoCut, kNoSlot});
-    }
+  explicit ReplayMaps(const SegmentedCutStore& store) : links(store.lanes()) {
+    for (std::size_t lane = 0; lane < store.lanes(); ++lane)
+      links[lane].assign(store.lane_count(lane), {kNoCut, kNoSlot});
   }
+  [[nodiscard]] ParentLink& link(CutHandle h) {
+    return links[h >> SegmentedCutStore::kLocalBits]
+                [h & SegmentedCutStore::kLocalMask];
+  }
+  /// Records h's parent link on its first visit; false if already seen.
   [[nodiscard]] bool visit(CutHandle h, CutHandle from, std::uint32_t slot) {
-    auto& flag = seen[h >> SegmentedCutStore::kLocalBits]
-                     [h & SegmentedCutStore::kLocalMask];
-    if (flag) return false;
-    flag = 1;
-    parent[h >> SegmentedCutStore::kLocalBits]
-          [h & SegmentedCutStore::kLocalMask] = {from, slot};
+    ParentLink& l = link(h);
+    if (l.parent != kNoCut) return false;
+    l = {from, slot};
     return true;
   }
-  [[nodiscard]] ParentLink<CutHandle> link(CutHandle h) const {
-    return parent[h >> SegmentedCutStore::kLocalBits]
-                 [h & SegmentedCutStore::kLocalMask];
-  }
-  std::vector<std::vector<std::uint8_t>> seen;
-  std::vector<std::vector<ParentLink<CutHandle>>> parent;
+  std::vector<std::vector<ParentLink>> links;
 };
 
-LatticeResult ConcurrentEngine::replay_lattice() const {
-  LatticeResult res;
+CutSearchOutcome ConcurrentEngine::replay() const {
+  CutSearchOutcome out;
   ReplayMaps maps(store_);
   std::vector<CutHandle> queue;
   queue.reserve(store_.total_cuts());
@@ -437,56 +331,21 @@ LatticeResult ConcurrentEngine::replay_lattice() const {
   for (std::size_t head = 0; head < queue.size(); ++head) {
     // queue mirrors the serial arena: pops in insertion order, so the
     // frontier is the suffix [head, size).
-    res.max_frontier = std::max(
-        res.max_frontier, static_cast<std::int64_t>(queue.size() - head));
+    out.max_frontier = std::max(
+        out.max_frontier, static_cast<std::int64_t>(queue.size() - head));
     const CutHandle h = queue[head];
-    ++res.cuts_explored;
-    if (store_.satisfying(h)) {
-      res.detected = true;
-      res.cut = store_.materialize(h);
-      res.witness_path = collect_path_slots(
-          h, [&](CutHandle c) { return maps.link(c); });
-      break;
-    }
-    if (max_cuts_ >= 0 && res.cuts_explored >= max_cuts_) {
-      res.truncated = true;
-      break;
-    }
-    WCP_CHECK_MSG(store_.expanded(h),
-                  "concurrent phase pruned a cut the serial order expands");
-    const auto succ = store_.succ(h);
-    for (std::size_t s = 0; s < n_; ++s)
-      if (succ[s] != kNoCut &&
-          maps.visit(succ[s], h, static_cast<std::uint32_t>(s)))
-        queue.push_back(succ[s]);
-  }
-  store_.add_stats(res.storage);
-  table_.add_stats(res.storage);
-  return res;
-}
-
-DefinitelyResult ConcurrentEngine::replay_definitely() const {
-  DefinitelyResult res;
-  res.definitely = true;  // until the top cut proves reachable
-  ReplayMaps maps(store_);
-  std::vector<CutHandle> queue;
-  queue.reserve(store_.total_cuts());
-  (void)maps.visit(bottom_, bottom_, kNoSlot);
-  queue.push_back(bottom_);
-
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const CutHandle h = queue[head];
-    ++res.cuts_explored;
+    ++out.cuts_explored;
     // The top cut is the unique cut at the maximal level.
-    if (store_.level(h) == level_max_) {
-      res.definitely = false;  // an observation avoided the predicate
-      res.witness_path = collect_path_slots(
-          h, [&](CutHandle c) { return maps.link(c); });
-      res.witness = witness_from_path(comp_, n_, res.witness_path);
+    if (definitely_mode_ ? store_.level(h) == level_max_
+                         : store_.satisfying(h)) {
+      out.found = true;
+      out.cut = store_.materialize(h);
+      out.path =
+          collect_path_slots(h, [&](CutHandle c) { return maps.link(c); });
       break;
     }
-    if (max_cuts_ >= 0 && res.cuts_explored >= max_cuts_) {
-      res.truncated = true;
+    if (max_cuts_ >= 0 && out.cuts_explored >= max_cuts_) {
+      out.truncated = true;
       break;
     }
     WCP_CHECK_MSG(store_.expanded(h),
@@ -497,163 +356,109 @@ DefinitelyResult ConcurrentEngine::replay_definitely() const {
           maps.visit(succ[s], h, static_cast<std::uint32_t>(s)))
         queue.push_back(succ[s]);
   }
-  store_.add_stats(res.storage);
-  table_.add_stats(res.storage);
-  return res;
+  store_.add_stats(out.storage);
+  table_.add_stats(out.storage);
+  return out;
 }
 
-LatticeResult detect_lattice_concurrent(const Computation& comp,
-                                        std::int64_t max_cuts,
-                                        std::size_t threads) {
-  common::ThreadPool pool(threads);
-  ConcurrentEngine engine(
-      comp, max_cuts,
-      std::min(pool.num_threads(), SegmentedCutStore::kMaxLanes),
-      /*definitely_mode=*/false);
-  const auto t0 = Clock::now();
-  engine.run(pool);
-  const auto t1 = Clock::now();
-  LatticeResult res = engine.replay_lattice();
-  res.explore_ms = elapsed_ms(t0, t1);
-  res.replay_ms = elapsed_ms(t1);
-  return res;
+/// One lattice search and the wall clock of its phases.
+struct TimedSearch {
+  CutSearchOutcome out;
+  double explore_ms = 0.0;
+  double replay_ms = 0.0;
+};
+
+/// Copies the fields LatticeResult and DefinitelyResult share.
+template <typename Result>
+void fill_shared(Result& res, TimedSearch& run, const Computation& comp) {
+  res.truncated = run.out.truncated;
+  res.cuts_explored = run.out.cuts_explored;
+  res.witness_path = std::move(run.out.path);
+  res.storage = run.out.storage;
+  res.trace_store = comp.trace_store_stats();
+  res.explore_ms = run.explore_ms;
+  res.replay_ms = run.replay_ms;
 }
 
-DefinitelyResult detect_definitely_serial(const Computation& comp,
-                                          std::int64_t max_cuts) {
-  const auto t0 = Clock::now();
-  const SlotClockTable clocks(comp, comp.predicate_processes());
-  const std::size_t n = clocks.width();
-
-  DefinitelyResult res;
-
-  Cut top(n);
-  for (std::size_t s = 0; s < n; ++s) top[s] = clocks.num_states(s);
-
-  // Search for an observation that AVOIDS the predicate: BFS through
-  // non-satisfying consistent cuts. If the top cut is reachable (or is
-  // itself non-satisfying while reachable), some observation misses the
-  // predicate => not definitely.
-  Cut scratch(n, 1);
-  if (clocks.satisfies(scratch)) {
-    // Every observation starts at the bottom cut.
-    res.definitely = true;
-    res.cuts_explored = 1;
-    return res;
-  }
-
-  CutArena arena(n);
-  CutTable visited;
-  const CutHash hasher;
-  // links[h] = BFS parent offset of the cut with handle h (the bottom cut
-  // maps to itself) so the avoiding observation can be reconstructed for
-  // the witness. Handles are dense insertion indices, so a plain vector
-  // replaces the old cut-keyed parent map.
-  std::vector<ParentLink<CutHandle>> links;
-  visited.intern(arena, scratch, hasher(scratch));
-  links.push_back({0, kNoSlot});
-
-  res.definitely = true;  // until the top cut proves reachable
-  for (std::size_t head = 0; head < arena.size(); ++head) {
-    arena.copy_to(static_cast<CutHandle>(head), scratch);
-    ++res.cuts_explored;
-    if (scratch == top) {
-      res.definitely = false;  // an observation avoided the predicate
-      res.witness_path = collect_path_slots(
-          static_cast<CutHandle>(head),
-          [&](CutHandle c) { return links[c]; });
-      res.witness = witness_from_path(comp, n, res.witness_path);
-      break;
-    }
-    if (max_cuts >= 0 && res.cuts_explored >= max_cuts) {
-      res.truncated = true;
-      break;
-    }
-
-    for (std::size_t s = 0; s < n; ++s) {
-      if (scratch[s] + 1 > clocks.num_states(s) ||
-          !clocks.advance_consistent(scratch, s))
-        continue;
-      scratch[s] += 1;
-      if (!clocks.satisfies(scratch) &&  // blocked by the WCP
-          visited.intern(arena, scratch, hasher(scratch)).inserted)
-        links.push_back(
-            {static_cast<CutHandle>(head), static_cast<std::uint32_t>(s)});
-      scratch[s] -= 1;
-    }
-  }
-  // Fell off the loop: every avoiding path got stuck before the top — all
-  // observations hit the predicate (res.definitely stayed true).
-  arena.add_stats(res.storage);
-  visited.add_stats(res.storage);
-  res.explore_ms = elapsed_ms(t0);
-  return res;
-}
-
-DefinitelyResult detect_definitely_concurrent(const Computation& comp,
-                                              std::int64_t max_cuts,
-                                              std::size_t threads) {
-  const auto procs = comp.predicate_processes();
-  const std::size_t n = procs.size();
-
-  // Bottom-satisfies early return, byte-identical to the serial prologue
-  // (the engine requires a non-satisfying bottom in definitely mode).
-  bool bottom_sat = true;
-  for (std::size_t s = 0; s < n && bottom_sat; ++s)
-    if (!comp.local_pred(procs[s], 1)) bottom_sat = false;
-  if (bottom_sat) {
-    DefinitelyResult res;
-    res.definitely = true;
-    res.cuts_explored = 1;
-    return res;
-  }
-
-  common::ThreadPool pool(threads);
-  ConcurrentEngine engine(
-      comp, max_cuts,
-      std::min(pool.num_threads(), SegmentedCutStore::kMaxLanes),
-      /*definitely_mode=*/true);
-  const auto t0 = Clock::now();
-  engine.run(pool);
-  const auto t1 = Clock::now();
-  DefinitelyResult res = engine.replay_definitely();
-  res.explore_ms = elapsed_ms(t0, t1);
-  res.replay_ms = elapsed_ms(t1);
-  return res;
-}
-
-}  // namespace
-
-LatticeResult detect_lattice(const Computation& comp, std::int64_t max_cuts,
-                             std::size_t threads) {
+/// The one search behind detect_lattice and detect_definitely.
+///
+/// possibly(WCP): the first satisfying cut in BFS order.
+/// definitely(WCP): an observation that AVOIDS the predicate — BFS through
+/// non-satisfying consistent cuts only; if the top cut is reachable, some
+/// observation misses the predicate (found = not definitely). If every
+/// avoiding path gets stuck before the top, all observations hit it.
+TimedSearch search_lattice(const Computation& comp, std::int64_t max_cuts,
+                           std::size_t threads, bool definitely) {
   const auto procs = comp.predicate_processes();
   WCP_REQUIRE(!procs.empty(), "empty predicate");
   // Materialize the trace store up front: the parallel path must not race
   // on the lazy build, and doing it here for the serial path too keeps the
   // reported trace-store stats identical across thread counts.
   (void)comp.trace_store();
+  const auto t0 = Clock::now();
+  SlotClockTable clocks(comp, procs);
+  const std::size_t n = clocks.width();
+  TimedSearch run;
+  if (definitely && clocks.satisfies(Cut(n, 1))) {
+    // Every observation starts at the bottom cut.
+    run.out.cuts_explored = 1;
+    return run;
+  }
+
   // The concurrent engine packs the predicate-false count into a byte;
   // wider predicates (absurd in practice) take the serial path, which is
   // result-identical anyway.
-  LatticeResult res =
-      threads <= 1 || procs.size() > 255
-          ? detect_lattice_serial(comp, max_cuts)
-          : detect_lattice_concurrent(comp, max_cuts, threads);
-  res.trace_store = comp.trace_store_stats();
+  if (threads <= 1 || n > 255) {
+    Cut top(n);
+    for (std::size_t s = 0; s < n; ++s) top[s] = clocks.num_states(s);
+    const auto satisfies = [&](const Cut& c) { return clocks.satisfies(c); };
+    run.out = definitely
+                  ? search_cuts<true>(
+                        clocks, max_cuts, [&](const Cut& c) { return c == top; },
+                        [&](const Cut& c) { return !satisfies(c); })
+                  : search_cuts<true>(clocks, max_cuts, satisfies,
+                                      [](const Cut&) { return true; });
+    run.explore_ms = elapsed_ms(t0);
+    return run;
+  }
+
+  common::ThreadPool pool(threads);
+  ConcurrentEngine engine(
+      std::move(clocks), max_cuts,
+      std::min(pool.num_threads(), SegmentedCutStore::kMaxLanes), definitely);
+  const auto t1 = Clock::now();
+  engine.run(pool);
+  const auto t2 = Clock::now();
+  run.out = engine.replay();
+  run.explore_ms = elapsed_ms(t1, t2);
+  run.replay_ms = elapsed_ms(t2);
+  return run;
+}
+
+}  // namespace
+
+LatticeResult detect_lattice(const Computation& comp, std::int64_t max_cuts,
+                             std::size_t threads) {
+  TimedSearch run = search_lattice(comp, max_cuts, threads, false);
+  LatticeResult res;
+  res.detected = run.out.found;
+  res.cut = std::move(run.out.cut);
+  res.max_frontier = run.out.max_frontier;
+  fill_shared(res, run, comp);
   return res;
 }
 
 DefinitelyResult detect_definitely(const Computation& comp,
                                    std::int64_t max_cuts,
                                    std::size_t threads) {
-  const auto procs = comp.predicate_processes();
-  WCP_REQUIRE(!procs.empty(), "empty predicate");
-  (void)comp.trace_store();
-  DefinitelyResult res =
-      threads <= 1 || procs.size() > 255
-          ? detect_definitely_serial(comp, max_cuts)
-          : detect_definitely_concurrent(comp, max_cuts, threads);
-  res.trace_store = comp.trace_store_stats();
+  TimedSearch run = search_lattice(comp, max_cuts, threads, true);
+  DefinitelyResult res;
+  // Reaching the top cut means an observation avoided the predicate.
+  res.definitely = !run.out.found;
+  if (run.out.found)
+    res.witness = witness_from_path(comp, comp.predicate_processes().size(),
+                                    run.out.path);
+  fill_shared(res, run, comp);
   return res;
 }
 

@@ -11,17 +11,24 @@
 // The number of cuts explored can grow as O(m^n) — the cost that motivates
 // the paper's algorithms; bench E10 measures the blowup.
 //
+// Both detectors are one search: thin adapters map its outcome onto
+// LatticeResult / DefinitelyResult. possibly(WCP) stops at the first
+// satisfying cut; definitely(WCP) walks only non-satisfying cuts and stops
+// at the top cut (reached = some observation avoids the predicate).
+//
 // Both detectors accept a `threads` parameter. threads <= 1 (the default)
-// runs the reference serial BFS; threads > 1 runs the barrier-free
-// concurrent engine (ALGORITHMS.md §15): lanes pop cut handles from a
-// work-stealing frontier in arbitrary order, intern successors exactly
-// once through a lockless CAS-published hash table over per-lane arena
-// segments (incremental Zobrist hashing, O(1) per advance), and record
-// each cut's successor handles. A deterministic serial replay then walks
-// the recorded successor graph in exact serial BFS order, so verdict, cut,
-// cuts_explored, max_frontier, and witness_path are byte-identical to the
-// serial path at every thread count (tests/flat_storage_equiv_test.cc
-// byte-diffs full JSON reports at threads 1/2/4/8). Front ends resolve a
+// runs the reference serial BFS — search_cuts of detect/slot_clocks.h, the
+// loop the GCP oracle and the relational search share. threads > 1 runs
+// the barrier-free concurrent engine (ALGORITHMS.md §15): lanes pop cut
+// handles from a work-stealing frontier in arbitrary order, intern
+// successors exactly once through a lockless CAS-published hash table over
+// per-lane arena segments (incremental Zobrist hashing, O(1) per advance),
+// and record each cut's successor handles. One deterministic serial replay
+// then walks the recorded successor graph in exact serial BFS order, so
+// verdict, cut, cuts_explored, max_frontier, and witness_path are
+// byte-identical to the serial path at every thread count
+// (tests/flat_storage_equiv_test.cc byte-diffs full JSON reports at
+// threads 1/2/4/8). Front ends resolve a
 // user's `--threads 0` through detect::resolve_threads (detect/registry.h).
 // Both engines decide a successor's consistency with one row read of a
 // per-search slot-clock table (detect/slot_clocks.h).

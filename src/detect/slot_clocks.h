@@ -1,6 +1,13 @@
 // Slot-clock table — the successor kernel shared by every lattice search
 // (lattice.cc's serial and concurrent engines, the GCP lattice baseline,
-// the relational possibly(phi) search).
+// the relational possibly(phi) search) — and search_cuts, the one serial
+// breadth-first search over consistent cuts built on it. Its callers:
+//
+//   caller                     goal (popped cut)     admit (successor)  links
+//   possibly(WCP), lattice.cc  clocks.satisfies      everything         yes
+//   definitely(WCP), "         cut is the top cut    !clocks.satisfies  yes
+//   detect_possibly_general    phi over the envs     everything         no
+//   detect_gcp_lattice         locals + channels     everything         no
 //
 // A lattice search advances one slot s of a consistent cut C to
 // k = C[s] + 1 and asks whether the result is still consistent. Over a
@@ -25,11 +32,15 @@
 // queries, each an interval-index binary search.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "common/cut_hash.h"
+#include "common/cut_storage.h"
 #include "common/types.h"
 #include "trace/computation.h"
 
@@ -84,5 +95,110 @@ class SlotClockTable {
   std::vector<std::size_t> base_;  // w_ + 1 entries: rows before slot s
   std::vector<std::uint32_t> cells_;
 };
+
+/// BFS parent offset of one visited cut: the handle of its predecessor
+/// (the bottom cut references itself) plus which slot the advance took.
+/// Witness paths are rebuilt from these links on demand — the full
+/// predecessor cuts are never retained (ltsmin-style trace reconstruction).
+struct ParentLink {
+  CutHandle parent;
+  std::uint32_t slot;
+};
+
+inline constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
+/// Walks the parent offsets from `top` back to the bottom cut and returns
+/// the advanced slot of every step, bottom first.
+template <typename LinkOf>
+std::vector<std::uint32_t> collect_path_slots(CutHandle top,
+                                              const LinkOf& link_of) {
+  std::vector<std::uint32_t> slots;
+  for (CutHandle c = top;;) {
+    const ParentLink link = link_of(c);
+    if (link.parent == c) break;
+    slots.push_back(link.slot);
+    c = link.parent;
+  }
+  std::reverse(slots.begin(), slots.end());
+  return slots;
+}
+
+/// What one breadth-first lattice search found — the serial search_cuts and
+/// the concurrent engine's replay both produce it.
+struct CutSearchOutcome {
+  bool found = false;              ///< a popped cut passed the goal test
+  bool truncated = false;          ///< stopped at the max_cuts-th pop
+  std::vector<StateIndex> cut;     ///< the goal cut when found
+  std::int64_t cuts_explored = 0;  ///< cuts popped
+  std::int64_t max_frontier = 0;   ///< peak frontier size
+  /// When found and links were kept: advanced slots from the bottom cut to
+  /// `cut` (collect_path_slots).
+  std::vector<std::uint32_t> path;
+  CutStorageStats storage;
+};
+
+/// The serial breadth-first search over the consistent cuts of `clocks`'
+/// slots, from the bottom cut (all 1s: state 1 has no receives before it,
+/// so it is always consistent). Pops cuts in FIFO order and stops at the
+/// first popped cut passing `goal` or at the max_cuts-th pop (<0:
+/// unbounded); a consistent successor enters the visited set iff `admit`
+/// accepts it. `goal` and `admit` see the cut as a const
+/// std::vector<StateIndex>&. kLinks keeps one ParentLink per visited cut so
+/// the goal's BFS path can be returned.
+///
+/// Every visited cut lives exactly once in a CutArena, and cuts enter it in
+/// exactly the order a FIFO queue would pop them, so the frontier is the
+/// arena suffix [head, size) and needs no queue of its own.
+template <bool kLinks, typename Goal, typename Admit>
+CutSearchOutcome search_cuts(const SlotClockTable& clocks,
+                             std::int64_t max_cuts, Goal&& goal,
+                             Admit&& admit) {
+  const std::size_t w = clocks.width();
+  CutSearchOutcome out;
+  CutArena arena(w);
+  CutTable visited;
+  const CutHash hasher;
+  std::vector<ParentLink> links;  // links[h]: parent offset of handle h
+  // From here on, `scratch` is the only live cut vector: the advance is
+  // done in place and undone after the intern.
+  std::vector<StateIndex> scratch(w, 1);
+  visited.intern(arena, scratch, hasher(scratch));
+  if constexpr (kLinks) links.push_back({0, kNoSlot});
+
+  for (std::size_t head = 0; head < arena.size(); ++head) {
+    out.max_frontier = std::max(
+        out.max_frontier, static_cast<std::int64_t>(arena.size() - head));
+    arena.copy_to(static_cast<CutHandle>(head), scratch);
+    ++out.cuts_explored;
+    if (goal(std::as_const(scratch))) {
+      out.found = true;
+      out.cut = scratch;
+      if constexpr (kLinks)
+        out.path = collect_path_slots(static_cast<CutHandle>(head),
+                                      [&](CutHandle c) { return links[c]; });
+      break;
+    }
+    if (max_cuts >= 0 && out.cuts_explored >= max_cuts) {
+      out.truncated = true;
+      break;
+    }
+    for (std::size_t s = 0; s < w; ++s) {
+      if (scratch[s] + 1 > clocks.num_states(s) ||
+          !clocks.advance_consistent(scratch, s))
+        continue;
+      scratch[s] += 1;
+      if (admit(std::as_const(scratch)) &&
+          visited.intern(arena, scratch, hasher(scratch)).inserted) {
+        if constexpr (kLinks)
+          links.push_back(
+              {static_cast<CutHandle>(head), static_cast<std::uint32_t>(s)});
+      }
+      scratch[s] -= 1;
+    }
+  }
+  arena.add_stats(out.storage);
+  visited.add_stats(out.storage);
+  return out;
+}
 
 }  // namespace wcp::detect

@@ -32,12 +32,22 @@ class Writer {
   std::vector<std::uint8_t> out_;
 };
 
-/// Positioned little-endian reader over one frame's bytes. `where` names
-/// the frame (type + seq) in every error.
+std::string frame_name(FrameType t, std::uint64_t seq) {
+  std::ostringstream os;
+  os << to_string(t) << " frame (seq " << seq << ")";
+  return os.str();
+}
+
+/// Positioned little-endian reader over one frame's bytes. Every error
+/// names what is being read: the frame header, or the frame (type + seq)
+/// whose payload it is — formatted only when an error is thrown, so valid
+/// frames never build the name.
 class Reader {
  public:
-  Reader(std::span<const std::uint8_t> bytes, std::string where)
-      : bytes_(bytes), where_(std::move(where)) {}
+  /// Reads the payload of `frame`, or a frame header when it is null.
+  explicit Reader(std::span<const std::uint8_t> bytes,
+                  const FrameHeader* frame = nullptr)
+      : bytes_(bytes), frame_(frame) {}
 
   [[nodiscard]] std::size_t pos() const { return pos_; }
   [[nodiscard]] std::size_t remaining() const { return bytes_.size() - pos_; }
@@ -75,14 +85,14 @@ class Reader {
   void expect_done() {
     if (pos_ != bytes_.size()) {
       std::ostringstream os;
-      os << bytes_.size() - pos_ << " trailing payload bytes in " << where_;
+      os << bytes_.size() - pos_ << " trailing payload bytes in " << where();
       fail(os.str());
     }
   }
 
   [[noreturn]] void error(const std::string& why) const {
     std::ostringstream os;
-    os << why << " in " << where_ << " at byte " << pos_;
+    os << why << " in " << where() << " at byte " << pos_;
     fail(os.str());
   }
 
@@ -90,22 +100,20 @@ class Reader {
   void need(std::size_t len, const char* what) const {
     if (remaining() < len) {
       std::ostringstream os;
-      os << "truncated " << where_ << ": need " << len << "-byte " << what
+      os << "truncated " << where() << ": need " << len << "-byte " << what
          << " at byte " << pos_ << ", have " << remaining();
       fail(os.str());
     }
   }
 
+  [[nodiscard]] std::string where() const {
+    return frame_ ? frame_name(frame_->type, frame_->seq) : "frame header";
+  }
+
   std::span<const std::uint8_t> bytes_;
-  std::string where_;
+  const FrameHeader* frame_;
   std::size_t pos_ = 0;
 };
-
-std::string frame_name(FrameType t, std::uint64_t seq) {
-  std::ostringstream os;
-  os << to_string(t) << " frame (seq " << seq << ")";
-  return os.str();
-}
 
 }  // namespace
 
@@ -275,7 +283,7 @@ std::vector<std::uint8_t> encode_frame(const Frame& f, std::uint64_t seq) {
 }
 
 FrameHeader peek_header(std::span<const std::uint8_t> bytes) {
-  Reader r(bytes, "frame header");
+  Reader r(bytes);
   if (bytes.size() < 4) {
     std::ostringstream os;
     os << "truncated frame header: need 4-byte length, have " << bytes.size();
@@ -320,7 +328,7 @@ Frame decode_frame(std::span<const std::uint8_t> bytes,
   Frame f;
   f.seq = h.seq;
   f.type = h.type;
-  Reader r(bytes.subspan(4 + kFrameOverhead), frame_name(h.type, h.seq));
+  Reader r(bytes.subspan(4 + kFrameOverhead), &h);
 
   switch (h.type) {
     case FrameType::kHello: {

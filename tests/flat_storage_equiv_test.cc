@@ -17,7 +17,9 @@
 #include "detect/batch.h"
 #include "detect/gcp.h"
 #include "detect/lattice.h"
+#include "detect/relational.h"
 #include "detect/sliced.h"
+#include "predicate/program.h"
 #include "slice/slice.h"
 #include "workload/random_workload.h"
 
@@ -260,9 +262,39 @@ TEST(FlatStorageEquiv, GcpLatticeWithChannelsMatchesAdvanceDetector) {
     const auto comp = random_comp(seed, 3, 3, 8);
     const auto channels = ChannelPredicate::all_channels_empty(3);
     const auto oracle = detect_gcp_lattice(comp, channels, 2'000'000);
+    ASSERT_FALSE(oracle.truncated) << "seed " << seed;
     const auto fast = detect_gcp(comp, channels);
     EXPECT_EQ(oracle.detected, fast.detected) << "seed " << seed;
     if (oracle.detected) EXPECT_EQ(oracle.cut, fast.cut) << "seed " << seed;
+  }
+}
+
+TEST(FlatStorageEquiv, RelationalSearchMatchesReferenceLattice) {
+  // With every process a predicate process and phi the conjunction of the
+  // local-predicate bits bound into each state's env, the relational
+  // search walks exactly the conjunctive lattice in the same slot order.
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    const auto comp = random_comp(seed, 4, 4, 10, /*prob=*/0.2);
+    pred::VarComputation vc{comp, {}};
+    for (std::size_t p = 0; p < comp.num_processes(); ++p) {
+      const ProcessId pid(static_cast<int>(p));
+      auto& envs = vc.state_envs.emplace_back();
+      for (StateIndex k = 1; k <= comp.num_states(pid); ++k)
+        envs.emplace_back().set("pred", comp.local_pred(pid, k) ? 1 : 0);
+    }
+    const GlobalPredicate conj = [](std::span<const pred::Env> envs) {
+      return std::all_of(envs.begin(), envs.end(), [](const pred::Env& e) {
+        return e.get("pred") != 0;
+      });
+    };
+    for (const std::int64_t cap : {-1, 1, 7, 50}) {
+      const auto ref = ref_detect_lattice(comp, cap);
+      const auto r = detect_possibly_general(vc, conj, cap);
+      EXPECT_EQ(r.detected, ref.detected) << seed << "/" << cap;
+      EXPECT_EQ(r.cut, ref.cut) << seed << "/" << cap;
+      EXPECT_EQ(r.cuts_explored, ref.cuts_explored) << seed << "/" << cap;
+      EXPECT_EQ(r.truncated, ref.truncated) << seed << "/" << cap;
+    }
   }
 }
 

@@ -69,8 +69,37 @@ TEST(GcpEdge, StackedPredicatesOnOneChannel) {
   EXPECT_EQ(r.cut[0], 2);
   // Cross-check with the lattice oracle.
   const auto oracle = detect_gcp_lattice(c, window, 100'000);
+  ASSERT_FALSE(oracle.truncated);
   ASSERT_TRUE(oracle.detected);
   EXPECT_EQ(r.cut, oracle.cut);
+}
+
+TEST(GcpEdge, LatticeOracleReportsTruncation) {
+  // The window predicate fails at the bottom cut (nothing in transit), so a
+  // one-cut cap stops the oracle before it can find the satisfying cut —
+  // and must say so rather than look like "never holds".
+  ComputationBuilder b(2);
+  b.set_default_pred(ProcessId(0), true);
+  b.set_default_pred(ProcessId(1), true);
+  for (int i = 0; i < 3; ++i) b.send(ProcessId(0), ProcessId(1));
+  const auto c = b.build();
+  const ChannelPredicate window[] = {
+      ChannelPredicate::at_least(ProcessId(0), ProcessId(1), 1),
+      ChannelPredicate::at_most(ProcessId(0), ProcessId(1), 2)};
+  const auto capped = detect_gcp_lattice(c, window, /*max_cuts=*/1);
+  EXPECT_TRUE(capped.truncated);
+  EXPECT_FALSE(capped.detected);
+  EXPECT_EQ(capped.cuts_explored, 1);
+  const auto full = detect_gcp_lattice(c, window);
+  EXPECT_FALSE(full.truncated);
+  EXPECT_TRUE(full.detected);
+
+  // A predicate that never holds exhausts the lattice untruncated.
+  const ChannelPredicate need4[] = {
+      ChannelPredicate::at_least(ProcessId(0), ProcessId(1), 4)};
+  const auto never = detect_gcp_lattice(c, need4);
+  EXPECT_FALSE(never.truncated);
+  EXPECT_FALSE(never.detected);
 }
 
 TEST(GcpEdge, TerminationWorkloadRespectsMessageCap) {

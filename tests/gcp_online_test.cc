@@ -109,6 +109,7 @@ TEST(GcpOnline, MixedChannelKindsAgreeWithLatticeOracle) {
         ChannelPredicate::empty(ProcessId(1), ProcessId(2)),
     };
     const auto oracle = detect_gcp_lattice(c, channels, 500'000);
+    ASSERT_FALSE(oracle.truncated) << "seed " << seed;
     const auto online = run_gcp_centralized(c, channels, opts(seed + 1));
     ASSERT_EQ(online.detected, oracle.detected) << "seed " << seed;
     if (oracle.detected) EXPECT_EQ(online.cut, oracle.cut) << "seed " << seed;

@@ -145,6 +145,7 @@ TEST_P(GcpVsLattice, AdvanceCandidateMatchesLatticeOracle) {
   const auto channels = ChannelPredicate::all_channels_empty(4);
   const auto fast = detect_gcp(c, channels);
   const auto oracle = detect_gcp_lattice(c, channels, /*max_cuts=*/500'000);
+  ASSERT_FALSE(oracle.truncated) << "seed " << seed;
   ASSERT_EQ(fast.detected, oracle.detected) << "seed " << seed;
   if (fast.detected) EXPECT_EQ(fast.cut, oracle.cut) << "seed " << seed;
 }
@@ -172,6 +173,7 @@ TEST_P(GcpAtMostVsLattice, MixedKindsMatchOracle) {
   };
   const auto fast = detect_gcp(c, channels);
   const auto oracle = detect_gcp_lattice(c, channels, /*max_cuts=*/500'000);
+  ASSERT_FALSE(oracle.truncated) << "seed " << seed;
   ASSERT_EQ(fast.detected, oracle.detected) << "seed " << seed;
   if (fast.detected) EXPECT_EQ(fast.cut, oracle.cut) << "seed " << seed;
 }
