@@ -21,6 +21,7 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -124,8 +125,6 @@ int usage() {
       "--faults drop=0.2,dup=0.05,seed=7,crash=m1@40+30\n"
       "                   [--verdict]   print only the canonical verdict "
       "line\n"
-      "                   [--trusted]   skip the binary loader's replay "
-      "check\n"
       "  wcp_cli stream   <in.trace> [--algos token,checker,lattice-online,"
       "slicer]\n"
       "                   [--faults spec] [--reorder p] [--gc-every k]\n"
@@ -135,7 +134,9 @@ int usage() {
       "                   [--threads t] [--json]\n"
       "  wcp_cli info     <in.trace>\n"
       "  wcp_cli diagram  <in.trace> [--max-states k]\n"
-      "  wcp_cli dot      <in.trace>\n";
+      "  wcp_cli dot      <in.trace>\n"
+      "every subcommand that reads <in.trace> also takes [--trusted]: skip\n"
+      "the binary loader's replay check\n";
   return 2;
 }
 
@@ -202,13 +203,18 @@ int cmd_dot(const Args& a) {
   return 0;
 }
 
+/// A detector name given to --<key> must be in the registry (usage error).
+void require_detector(const std::string& key, const std::string& algo) {
+  if (detect::find_detector(algo) == nullptr)
+    throw common::FlagError("wcp_cli: --" + key + " must be one of " +
+                            detect::detector_names(", ") + ", got \"" +
+                            algo + "\"");
+}
+
 int cmd_detect(const Args& a) {
   if (a.positional.size() < 2) return usage();
   const std::string algo = flag_str(a, "algo", "token");
-  if (detect::find_detector(algo) == nullptr)
-    throw common::FlagError("wcp_cli: --algo must be one of " +
-                            detect::detector_names(", ") + ", got \"" +
-                            algo + "\"");
+  require_detector("algo", algo);
   detect::DetectParams params;
   params.seed = static_cast<std::uint64_t>(flag_int(a, "seed", 1));
   params.groups = static_cast<int>(
@@ -252,7 +258,11 @@ int cmd_stream(const Args& a) {
       flag_str(a, "algos", "token,checker,lattice-online,slicer"));
   for (const std::string& name : algos) {
     serve::ReplaySubscription sub;
-    sub.algo = serve::stream_algo_from_string(name);
+    try {
+      sub.algo = serve::stream_algo_from_string(name);
+    } catch (const std::invalid_argument& e) {
+      throw common::FlagError(std::string("wcp_cli: --algos: ") + e.what());
+    }
     opts.subs.push_back(sub);
   }
 
@@ -374,6 +384,7 @@ int cmd_sweep(const Args& a) {
 
   const auto algos =
       split_list(flag_str(a, "algos", "token,dd,lattice,lattice-sliced"));
+  for (const std::string& algo : algos) require_detector("algos", algo);
   std::vector<std::uint64_t> seeds;
   for (const std::string& s : split_list(flag_str(a, "seeds", "1,2,3,4")))
     seeds.push_back(static_cast<std::uint64_t>(
@@ -394,21 +405,44 @@ int cmd_sweep(const Args& a) {
   return 0;
 }
 
+/// A subcommand and the flags its usage line accepts; any other flag is a
+/// usage error (a typo must never silently fall back to a default).
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::set<std::string> flags;
+};
+
+const Command kCommands[] = {
+    {"generate", cmd_generate,
+     {"N", "n", "events", "pred-prob", "seed", "detectable", "binary"}},
+    {"detect", cmd_detect,
+     {"algo", "groups", "seed", "halt", "json", "threads", "faults", "verdict",
+      "trusted"}},
+    {"stream", cmd_stream,
+     {"algos", "faults", "reorder", "gc-every", "window", "connect", "json",
+      "trusted"}},
+    {"slice", cmd_slice, {"max-cuts", "threads", "json", "trusted"}},
+    {"sweep", cmd_sweep, {"algos", "seeds", "threads", "json", "trusted"}},
+    {"info", cmd_info, {"trusted"}},
+    {"diagram", cmd_diagram, {"max-states", "trusted"}},
+    {"dot", cmd_dot, {"trusted"}},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const Args a = parse_args(argc, argv);
   if (a.positional.empty()) return usage();
   try {
-    const std::string& cmd = a.positional[0];
-    if (cmd == "generate") return cmd_generate(a);
-    if (cmd == "detect") return cmd_detect(a);
-    if (cmd == "stream") return cmd_stream(a);
-    if (cmd == "slice") return cmd_slice(a);
-    if (cmd == "sweep") return cmd_sweep(a);
-    if (cmd == "info") return cmd_info(a);
-    if (cmd == "diagram") return cmd_diagram(a);
-    if (cmd == "dot") return cmd_dot(a);
+    for (const Command& cmd : kCommands) {
+      if (a.positional[0] != cmd.name) continue;
+      for (const auto& [key, value] : a.flags)
+        if (!cmd.flags.contains(key))
+          throw common::FlagError(std::string("wcp_cli ") + cmd.name +
+                                  ": unknown flag --" + key);
+      return cmd.run(a);
+    }
     return usage();
   } catch (const common::FlagError& e) {
     std::cerr << e.what() << "\n";

@@ -1,14 +1,15 @@
 // Incremental-checker substrate: the interface between a stream of local
 // snapshots and the detection state machines that consume it.
 //
-// Every online detector in this repo — token, centralized, the online
+// Every online detector in this repo — token, centralized, GCP, the online
 // Cooper-Marzullo lattice checker, the online slicer — is at heart a state
-// machine fed one (vector clock, predicate) snapshot at a time. Historically
-// each machine lived inside a sim::Node and owned its snapshot buffers; the
-// streaming detection service (src/serve) needs the same machines fed from a
-// wire protocol, over a SHARED per-connection snapshot buffer, with state
-// below a garbage-collection frontier retired. StateStream/StreamCore are
-// that extraction seam:
+// machine fed one (vector clock, predicate) snapshot at a time. The machine
+// runs in two hosts: the simulator's coordinator node (detect/core_host.h),
+// which keeps every snapshot it receives, and the streaming detection
+// service (src/serve), which feeds the same machines from a wire protocol,
+// over a SHARED per-connection snapshot buffer, with state below a
+// garbage-collection frontier retired. StateStream/StreamCore are the seam
+// between machine and host:
 //
 //   - StateStream: read-only view of per-slot snapshot sequences. Snapshots
 //     on slot s are addressed by their 1-based arrival position; in
@@ -24,13 +25,13 @@
 //     the stream (the global-min frontier GC of the serve layer). collect()
 //     tells the core to drop its own internal state below a floor.
 //
-// The sim::Node wrappers implement StateStream over the snapshot vectors
-// they already keep (base forever 1 — simulator runs never GC), so the
-// extraction changes no observable behavior of the simulator-hosted runs.
+// The simulator host implements StateStream over the snapshot vectors it
+// keeps (app/snapshot_stream.h; base forever 1 — simulator runs never GC).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -60,9 +61,8 @@ class StateStream {
   [[nodiscard]] virtual bool pred(std::size_t s, StateIndex pos) const = 0;
 };
 
-/// Cost-accounting callbacks a core's host may install. All optional; the
-/// sim::Node hosts forward them into the network metrics so the extracted
-/// cores account exactly what the pre-extraction monoliths did.
+/// Callbacks a core's host may install. All optional; the simulator host
+/// forwards the cost hooks into the coordinator's network metrics.
 struct CoreHooks {
   /// Abstract work units (one per state comparison / clock lookup).
   std::function<void(std::int64_t)> work;
@@ -72,6 +72,12 @@ struct CoreHooks {
   /// The token moved from slot `from` to slot `to` (TokenCore); every work
   /// unit between two hops is spent by the slot holding the token.
   std::function<void(std::size_t from, std::size_t to)> hopped;
+  /// CentralizedCore found every slot's queue head present and the heads
+  /// pairwise concurrent; heads[s] is slot s's head position. Returning a
+  /// slot eliminates that head instead of reporting the cut (the GCP
+  /// checker's violated channel predicate, reference [6]).
+  std::function<std::optional<std::size_t>(std::span<const StateIndex> heads)>
+      veto;
 
   void add_work(std::int64_t units) const {
     if (work) work(units);

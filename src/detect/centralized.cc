@@ -1,97 +1,17 @@
 #include "detect/centralized.h"
 
-#include <utility>
-
-#include "app/app_driver.h"
-#include "common/error.h"
+#include "detect/core_host.h"
+#include "detect/stream_core.h"
 
 namespace wcp::detect {
 
-CentralizedChecker::CentralizedChecker(Config cfg)
-    : cfg_(std::move(cfg)), stream_(states_) {
-  WCP_REQUIRE(cfg_.shared != nullptr, "checker needs shared detection state");
-  states_.resize(n());
-  app::CoreHooks hooks;
-  // Comparisons and head eliminations happen inside the core; forward them
-  // into the coordinator's metrics at the same call sites as before the
-  // extraction (byte-identical reports).
-  hooks.work = [this](std::int64_t units) {
-    const ProcessId coord(static_cast<int>(net().num_processes()));
-    net().add_monitor_work(coord, units);
-  };
-  hooks.released = [this](std::size_t s, StateIndex pos) {
-    const ProcessId coord(static_cast<int>(net().num_processes()));
-    net().monitor_buffer_change(
-        coord, -states_[s][static_cast<std::size_t>(pos - 1)].bytes(), -1);
-  };
-  core_ = std::make_unique<CentralizedCore>(stream_, std::move(hooks));
-}
-
-void CentralizedChecker::on_packet(sim::Packet&& p) {
-  WCP_CHECK_MSG(p.kind == MsgKind::kSnapshot || p.kind == MsgKind::kControl,
-                "checker got unexpected " << to_string(p.kind));
-  if (p.kind == MsgKind::kControl) return;  // end-of-stream marker
-
-  auto snap = std::any_cast<app::VcSnapshot>(std::move(p.payload));
-  // All buffering happens at the checker: this is precisely the O(n^2 m)
-  // space concentration the distributed algorithm removes (§3.4).
-  const ProcessId coord(static_cast<int>(net().num_processes()));
-  net().monitor_buffer_change(coord, snap.bytes(), +1);
-  // Receiving and storing an O(n)-word snapshot costs O(n) — the same unit
-  // the token monitors pay per candidate, so work totals are comparable.
-  net().add_monitor_work(coord, static_cast<std::int64_t>(n()));
-
-  int slot = -1;
-  for (std::size_t s = 0; s < n(); ++s)
-    if (cfg_.slot_to_pid[s] == p.from.pid) {
-      slot = static_cast<int>(s);
-      break;
-    }
-  WCP_CHECK_MSG(slot >= 0, "snapshot from non-predicate process " << p.from);
-  const auto su = static_cast<std::size_t>(slot);
-
-  states_[su].push_back(std::move(snap));
-  core_->on_state(su);
-
-  if (core_->done() && core_->detected()) {
-    auto& shared = *cfg_.shared;
-    shared.detected = true;
-    shared.cut = core_->cut();
-    shared.detect_time = net().simulator().now();
-    net().simulator().stop();
-  }
-}
-
 DetectionResult run_centralized(const Computation& comp,
                                 const RunOptions& opts) {
-  const auto preds = comp.predicate_processes();
-  const std::size_t n = preds.size();
-  WCP_REQUIRE(n >= 1, "empty predicate");
-
-  sim::Network net(network_config(opts, comp.num_processes()));
-
-  auto shared = std::make_shared<SharedDetection>();
-  std::vector<ProcessId> slot_to_pid(preds.begin(), preds.end());
-
-  CentralizedChecker::Config cc;
-  cc.slot_to_pid = slot_to_pid;
-  cc.shared = shared;
-  net.add_node(sim::NodeAddr::coordinator(),
-               std::make_unique<CentralizedChecker>(std::move(cc)));
-
-  // All predicate processes stream snapshots straight to the checker.
   app::AppDriverOptions drv;
-  drv.mode = app::Instrumentation::kVectorClock;
-  drv.step_delay = opts.step_delay;
   drv.compress_clocks = opts.compress_clocks;
-  app::install_app_drivers(
-      net, comp, drv, [](ProcessId) { return sim::NodeAddr::coordinator(); });
-
-  net.start_and_run(opts.max_events);
-
-  DetectionResult r;
-  finish_result(r, net, *shared);
-  return r;
+  return run_core_host(comp, opts, drv, /*ends_on_eos=*/false,
+                       make_core<CentralizedCore>())
+      .result();
 }
 
 }  // namespace wcp::detect

@@ -9,50 +9,19 @@
 // When all n heads are present and pairwise concurrent they form the first
 // WCP cut.
 //
-// The elimination state machine lives in detect::CentralizedCore
-// (detect/stream_core.h) so the streaming service can run it over wire-fed
-// streams; this node hosts the core on the simulator and forwards the
-// buffer/work accounting into the network metrics.
+// The elimination state machine is detect::CentralizedCore
+// (detect/stream_core.h), shared with the streaming service; on the
+// simulator it runs in the coordinator host (detect/core_host.h), which
+// forwards the buffer/work accounting into the network metrics.
 //
 // Cost profile (E9): same O(n^2 m) total time as the token algorithm, but
 // concentrated in one process, with O(n^2 m) buffer space at the checker.
 #pragma once
 
-#include <memory>
-#include <vector>
-
-#include "app/snapshot.h"
-#include "app/snapshot_stream.h"
 #include "detect/result.h"
-#include "detect/stream_core.h"
-#include "sim/network.h"
 #include "trace/computation.h"
 
 namespace wcp::detect {
-
-class CentralizedChecker final : public sim::Node {
- public:
-  struct Config {
-    std::vector<ProcessId> slot_to_pid;
-    std::shared_ptr<SharedDetection> shared;
-  };
-
-  explicit CentralizedChecker(Config cfg);
-
-  void on_packet(sim::Packet&& p) override;
-
-  [[nodiscard]] std::int64_t eliminations() const {
-    return core_->eliminations();
-  }
-
- private:
-  [[nodiscard]] std::size_t n() const { return cfg_.slot_to_pid.size(); }
-
-  Config cfg_;
-  std::vector<std::vector<app::VcSnapshot>> states_;  // per slot, in order
-  app::SnapshotStateStream stream_;
-  std::unique_ptr<CentralizedCore> core_;
-};
 
 /// Runs the centralized checker online over a replay of `comp`.
 DetectionResult run_centralized(const Computation& comp,

@@ -6,51 +6,23 @@
 // channel predicate (empty / at-most-k eliminate the receiver's head,
 // at-least-k the sender's).
 //
+// The checker is detect::CentralizedCore with a CoreHooks::veto: once the
+// queue heads are pairwise concurrent, each channel predicate is evaluated
+// on the head cut, and the first violated one names the head to eliminate.
+// It runs in the coordinator host (detect/core_host.h) like the WCP checker.
+//
 // Channel endpoints must be predicate processes of the computation (their
 // local predicate may be identically true); this keeps the piggybacked
 // vector clocks wide enough to order every cut component.
 #pragma once
 
-#include <deque>
-#include <memory>
-#include <vector>
+#include <span>
 
-#include "app/snapshot.h"
 #include "detect/gcp.h"
 #include "detect/result.h"
-#include "sim/network.h"
 #include "trace/computation.h"
 
 namespace wcp::detect {
-
-class GcpChecker final : public sim::Node {
- public:
-  struct Config {
-    std::vector<ProcessId> slot_to_pid;
-    std::vector<ChannelPredicate> channels;
-    std::shared_ptr<SharedDetection> shared;
-  };
-
-  explicit GcpChecker(Config cfg);
-
-  void on_packet(sim::Packet&& p) override;
-
-  [[nodiscard]] std::int64_t eliminations() const { return eliminations_; }
-  [[nodiscard]] std::int64_t channel_evals() const { return channel_evals_; }
-
- private:
-  void process();
-  void pop_head(std::size_t s);
-  [[nodiscard]] std::size_t n() const { return cfg_.slot_to_pid.size(); }
-
-  Config cfg_;
-  std::vector<std::deque<app::VcSnapshot>> queues_;
-  std::deque<std::size_t> dirty_;
-  std::vector<bool> in_dirty_;
-  std::vector<int> slot_of_pid_;  // process idx -> slot (or -1)
-  std::int64_t eliminations_ = 0;
-  std::int64_t channel_evals_ = 0;
-};
 
 /// Runs the online centralized GCP checker over a replay of `comp`.
 /// Requires every channel endpoint to be a predicate process.

@@ -10,56 +10,22 @@
 // detect_lattice() explores the same lattice post-hoc; the two must agree
 // (tests/lattice_online_test.cc).
 //
-// The level-ordered exploration itself lives in detect::LatticeOnlineCore
-// (detect/stream_core.h) so the streaming service can run it over wire-fed
-// streams with frontier GC; this node hosts the core on the simulator
-// (never garbage-collecting — simulator replays are bounded) and forwards
-// the work accounting into the coordinator metrics.
+// The level-ordered exploration is detect::LatticeOnlineCore
+// (detect/stream_core.h), shared with the streaming service (which adds
+// frontier GC); on the simulator it runs in the coordinator host
+// (detect/core_host.h), which never garbage-collects — simulator replays
+// are bounded — and forwards the work accounting into the coordinator
+// metrics.
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <vector>
 
-#include "app/snapshot.h"
-#include "app/snapshot_stream.h"
 #include "common/cut_storage.h"
 #include "detect/result.h"
-#include "detect/stream_core.h"
-#include "sim/network.h"
 #include "trace/computation.h"
 
 namespace wcp::detect {
-
-class LatticeChecker final : public sim::Node {
- public:
-  struct Config {
-    std::vector<ProcessId> slot_to_pid;
-    std::shared_ptr<SharedDetection> shared;
-    /// Stop (undetected) after materializing this many cuts (<0: never).
-    std::int64_t max_cuts = -1;
-  };
-
-  explicit LatticeChecker(Config cfg);
-
-  void on_packet(sim::Packet&& p) override;
-
-  [[nodiscard]] std::int64_t cuts_explored() const {
-    return core_->cuts_explored();
-  }
-  [[nodiscard]] std::int64_t max_frontier() const {
-    return core_->max_frontier();
-  }
-  [[nodiscard]] CutStorageStats storage() const { return core_->storage(); }
-
- private:
-  [[nodiscard]] std::size_t n() const { return cfg_.slot_to_pid.size(); }
-
-  Config cfg_;
-  std::vector<std::vector<app::VcSnapshot>> states_;  // per slot, by index
-  std::vector<int> slot_of_pid_;
-  app::SnapshotStateStream stream_;
-  std::unique_ptr<LatticeOnlineCore> core_;
-};
 
 struct LatticeOnlineResult {
   bool detected = false;

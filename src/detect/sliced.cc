@@ -5,9 +5,10 @@
 #include <limits>
 #include <utility>
 
-#include "app/app_driver.h"
 #include "common/error.h"
+#include "detect/core_host.h"
 #include "slice/jil.h"
+#include "slice/online_slicer.h"
 
 namespace wcp::detect {
 
@@ -178,37 +179,23 @@ DefinitelyResult detect_definitely_sliced(const Computation& comp,
 SliceOnlineResult run_slice_online(const Computation& comp,
                                    const RunOptions& opts,
                                    std::int64_t count_cap) {
-  const auto preds = comp.predicate_processes();
-  WCP_REQUIRE(!preds.empty(), "empty predicate");
-
-  sim::Network net(network_config(opts, comp.num_processes()));
-
-  slice::OnlineSlicer::Config sc;
-  sc.slot_to_pid.assign(preds.begin(), preds.end());
-  auto slicer = std::make_unique<slice::OnlineSlicer>(std::move(sc));
-  auto* slicer_ptr = slicer.get();
-  net.add_node(sim::NodeAddr::coordinator(), std::move(slicer));
-
   app::AppDriverOptions drv;
-  drv.mode = app::Instrumentation::kVectorClock;
-  drv.step_delay = opts.step_delay;
   drv.snapshot_all_states = true;
-  app::install_app_drivers(
-      net, comp, drv, [](ProcessId) { return sim::NodeAddr::coordinator(); });
-
-  net.start_and_run(opts.max_events);
-
+  const HostedRun run = run_core_host(comp, opts, drv, /*ends_on_eos=*/true,
+                                      make_core<slice::SlicerCore>());
+  const auto& core = run.host->core<slice::SlicerCore>();
   SliceOnlineResult r;
-  r.detected = slicer_ptr->detected();
-  r.cut = slicer_ptr->cut();
-  r.detect_time = slicer_ptr->detect_time();
-  r.states_received = slicer_ptr->states_received();
-  r.jil_advances = slicer_ptr->jil_advances();
-  r.clock_lookups = slicer_ptr->clock_lookups();
+  r.detected = core.detected();
+  r.cut = core.candidate();
+  r.detect_time = run.host->detect_time();
+  for (const auto& slot : run.host->states())
+    r.states_received += static_cast<std::int64_t>(slot.size());
+  r.jil_advances = core.jil_advances();
+  r.clock_lookups = core.clock_lookups();
 
   // Slice of the received stream (the full computation on undetected or
   // late-detection runs), for the pruning counters.
-  const slice::SnapshotInput si(slicer_ptr->states());
+  const slice::SnapshotInput si(run.host->states());
   const auto sl = slice::Slice::build(si);
   r.slice_groups = sl.num_groups();
   r.slice_edges = sl.num_edges();
@@ -216,8 +203,8 @@ SliceOnlineResult run_slice_online(const Computation& comp,
   r.slice_cuts = cc.count;
   r.slice_cuts_saturated = cc.saturated;
 
-  r.app_metrics = net.app_metrics();
-  r.monitor_metrics = net.monitor_metrics();
+  r.app_metrics = run.net->app_metrics();
+  r.monitor_metrics = run.net->monitor_metrics();
   return r;
 }
 

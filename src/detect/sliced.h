@@ -25,7 +25,6 @@
 #include "detect/lattice.h"
 #include "detect/report.h"
 #include "detect/result.h"
-#include "slice/online_slicer.h"
 #include "slice/slice.h"
 #include "trace/computation.h"
 

@@ -118,6 +118,9 @@ void CentralizedCore::on_state(std::size_t s) {
   if (done_) return;
   const StateIndex pos = stream_.last(s);
   if (!stream_.pred(s, pos)) return;  // only candidates are compared
+  // Receiving and storing an O(n)-word candidate costs O(n): the same unit
+  // the token monitors pay per candidate, so work totals are comparable.
+  hooks_.add_work(static_cast<std::int64_t>(n()));
   queue_[s].push_back(pos);
   if (queue_[s].size() == 1 && !in_dirty_[s]) {
     dirty_.push_back(s);
@@ -138,7 +141,6 @@ void CentralizedCore::on_eos(std::size_t s) {
 void CentralizedCore::pop_head(std::size_t s) {
   hooks_.release(s, queue_[s].front());
   queue_[s].pop_front();
-  ++eliminations_;
   if (!queue_[s].empty()) {
     if (!in_dirty_[s]) {
       dirty_.push_back(s);
@@ -151,41 +153,52 @@ void CentralizedCore::pop_head(std::size_t s) {
 }
 
 void CentralizedCore::process() {
-  while (!dirty_.empty()) {
-    const std::size_t s = dirty_.front();
-    dirty_.pop_front();
-    in_dirty_[s] = false;
-    if (queue_[s].empty()) continue;  // re-queued when a head arrives
+  while (true) {
+    while (!dirty_.empty()) {
+      const std::size_t s = dirty_.front();
+      dirty_.pop_front();
+      in_dirty_[s] = false;
+      if (queue_[s].empty()) continue;  // re-queued when a head arrives
 
-    bool s_eliminated = false;
-    const StateIndex head_s = queue_[s].front();
-    for (std::size_t t = 0; t < n() && !s_eliminated; ++t) {
-      if (t == s || queue_[t].empty()) continue;
-      const StateIndex head_t = queue_[t].front();
-      hooks_.add_work(1);
-      // Own-component happened-before tests (O(1) each).
-      if (stream_.clock(t, head_t, s) >= stream_.clock(s, head_s, s)) {
-        // head_s -> head_t: eliminate s.
-        pop_head(s);
-        s_eliminated = true;
-      } else if (stream_.clock(s, head_s, t) >= stream_.clock(t, head_t, t)) {
-        // head_t -> head_s: eliminate t.
-        pop_head(t);
+      bool s_eliminated = false;
+      const StateIndex head_s = queue_[s].front();
+      for (std::size_t t = 0; t < n() && !s_eliminated; ++t) {
+        if (t == s || queue_[t].empty()) continue;
+        const StateIndex head_t = queue_[t].front();
+        hooks_.add_work(1);
+        // Own-component happened-before tests (O(1) each).
+        if (stream_.clock(t, head_t, s) >= stream_.clock(s, head_s, s)) {
+          // head_s -> head_t: eliminate s.
+          pop_head(s);
+          s_eliminated = true;
+        } else if (stream_.clock(s, head_s, t) >=
+                   stream_.clock(t, head_t, t)) {
+          // head_t -> head_s: eliminate t.
+          pop_head(t);
+        }
       }
     }
-    if (s_eliminated) continue;
+
+    // dirty empty: all present heads are pairwise concurrent. Detection
+    // needs all n heads present, and no veto from the host.
+    for (std::size_t s = 0; s < n(); ++s)
+      if (queue_[s].empty()) return;
+    if (hooks_.veto) {
+      heads_.resize(n());
+      for (std::size_t s = 0; s < n(); ++s) heads_[s] = queue_[s].front();
+      if (const auto victim = hooks_.veto(heads_)) {
+        pop_head(*victim);  // re-run the comparisons with the new head
+        continue;
+      }
+    }
+
+    done_ = true;
+    detected_ = true;
+    cut_.resize(n());
+    for (std::size_t s = 0; s < n(); ++s)
+      cut_[s] = stream_.clock(s, queue_[s].front(), s);
+    return;
   }
-
-  // dirty empty: all present heads are pairwise concurrent. Detection needs
-  // all n heads present.
-  for (std::size_t s = 0; s < n(); ++s)
-    if (queue_[s].empty()) return;
-
-  done_ = true;
-  detected_ = true;
-  cut_.resize(n());
-  for (std::size_t s = 0; s < n(); ++s)
-    cut_[s] = stream_.clock(s, queue_[s].front(), s);
 }
 
 StateIndex CentralizedCore::frontier(std::size_t s) const {

@@ -1,27 +1,25 @@
-// Incremental detection cores — the WCP state machines extracted from the
-// simulator-hosted checkers so the streaming service (src/serve) can run
-// them over wire-fed snapshot streams with frontier garbage collection.
+// Incremental detection cores — the WCP state machines that both hosts run:
+// the simulator's coordinator node (detect/core_host.h) and the streaming
+// service (src/serve), which feeds them wire-fed snapshot streams with
+// frontier garbage collection.
 //
-// Three cores live here (the fourth, slice::SlicerCore, sits next to its
-// sim host in slice/online_slicer.h):
+// Three cores live here (the fourth, slice::SlicerCore, sits in
+// slice/online_slicer.h):
 //
 //   TokenCore        — Fig. 3 of the paper run incrementally: one token
 //                      walks the red slots consuming queued candidates;
 //                      stalls (instead of starving) when the holder's
 //                      candidate queue runs dry mid-stream.
-//   CentralizedCore  — Garg & Waldecker queue-head elimination, extracted
-//                      verbatim from CentralizedChecker::process().
+//   CentralizedCore  — Garg & Waldecker queue-head elimination; with a
+//                      CoreHooks::veto it is also the online GCP checker
+//                      (detect/gcp_online.h).
 //   LatticeOnlineCore— the online Cooper-Marzullo level-ordered lattice
-//                      exploration, extracted verbatim from
-//                      LatticeChecker::drain(), plus a collect() that
-//                      retires visited cuts below the GC frontier.
+//                      exploration, plus a collect() that retires visited
+//                      cuts below the GC frontier.
 //
-// Extraction fidelity: the sim::Node hosts (CentralizedChecker,
-// LatticeChecker) delegate to these cores and install CoreHooks that
-// forward work/buffer accounting into the network metrics at exactly the
-// old call sites, so every simulator run — verdict, cut, metrics, storage
-// stats — is byte-identical to the pre-extraction implementation
-// (tests/centralized_test, tests/lattice_online_test).
+// The cores charge their cost through CoreHooks (work units, released
+// heads); the simulator host turns them into coordinator metrics, whose
+// values per run are pinned by tests/coordinator_host_test.
 #pragma once
 
 #include <cstdint>
@@ -86,8 +84,6 @@ class CentralizedCore final : public app::StreamCore {
   [[nodiscard]] StateIndex frontier(std::size_t s) const override;
   [[nodiscard]] std::int64_t resident_bytes() const override;
 
-  [[nodiscard]] std::int64_t eliminations() const { return eliminations_; }
-
  private:
   void process();
   void pop_head(std::size_t s);
@@ -98,17 +94,16 @@ class CentralizedCore final : public app::StreamCore {
   std::vector<std::deque<StateIndex>> queue_;  // candidate positions
   std::deque<std::size_t> dirty_;  // slots whose head needs comparison
   std::vector<bool> in_dirty_;
-  std::int64_t eliminations_ = 0;
+  std::vector<StateIndex> heads_;  // head positions offered to the veto
   bool done_ = false;
   bool detected_ = false;
   std::vector<StateIndex> cut_;
 };
 
 /// Online Cooper-Marzullo lattice exploration over an all-states stream
-/// (position == state index). See detect/lattice_online.h for the search
-/// structure; this core adds eos-driven termination (the search is
-/// exhausted once no active cut remains) and frontier GC over the visited
-/// arena.
+/// (position == state index; see detect/lattice_online.h). The search is
+/// exhausted once no active cut remains (eos-driven termination), and
+/// collect() retires visited cuts below the GC frontier.
 class LatticeOnlineCore final : public app::StreamCore {
  public:
   LatticeOnlineCore(const app::StateStream& stream, app::CoreHooks hooks,

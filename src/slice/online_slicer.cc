@@ -6,10 +6,6 @@
 
 namespace wcp::slice {
 
-// ---------------------------------------------------------------------------
-// SlicerCore
-// ---------------------------------------------------------------------------
-
 SlicerCore::SlicerCore(const app::StateStream& stream, app::CoreHooks hooks)
     : stream_(stream), hooks_(std::move(hooks)) {
   WCP_REQUIRE(stream_.slots() >= 1, "empty predicate");
@@ -76,71 +72,6 @@ void SlicerCore::advance() {
     if (!arrived(s)) return;
   done_ = true;
   detected_ = true;
-}
-
-// ---------------------------------------------------------------------------
-// OnlineSlicer (sim host)
-// ---------------------------------------------------------------------------
-
-OnlineSlicer::OnlineSlicer(Config cfg)
-    : cfg_(std::move(cfg)), stream_(states_, &eos_) {
-  WCP_REQUIRE(!cfg_.slot_to_pid.empty(), "empty predicate");
-  states_.resize(n());
-  eos_.assign(n(), false);
-  app::CoreHooks hooks;
-  hooks.work = [this](std::int64_t units) {
-    const ProcessId coord(static_cast<int>(net().num_processes()));
-    net().add_monitor_work(coord, units);
-  };
-  core_ = std::make_unique<SlicerCore>(stream_, std::move(hooks));
-}
-
-void OnlineSlicer::on_packet(sim::Packet&& p) {
-  WCP_CHECK_MSG(p.kind == MsgKind::kSnapshot || p.kind == MsgKind::kControl,
-                "online slicer got unexpected " << to_string(p.kind));
-  if (core_->done()) return;
-
-  if (slot_of_pid_.empty()) {
-    slot_of_pid_.assign(net().num_processes(), -1);
-    for (std::size_t s = 0; s < n(); ++s)
-      slot_of_pid_[cfg_.slot_to_pid[s].idx()] = static_cast<int>(s);
-  }
-
-  if (p.kind == MsgKind::kControl) {
-    if (std::any_cast<app::EndOfStream>(&p.payload) != nullptr) {
-      const int slot = slot_of_pid_.at(p.from.pid.idx());
-      if (slot >= 0) {
-        eos_[static_cast<std::size_t>(slot)] = true;
-        core_->on_eos(static_cast<std::size_t>(slot));
-        if (core_->done()) {
-          if (core_->detected()) detect_time_ = net().simulator().now();
-          net().simulator().stop();
-        }
-      }
-    }
-    return;
-  }
-
-  auto snap = std::any_cast<app::VcSnapshot>(std::move(p.payload));
-  const ProcessId coord(static_cast<int>(net().num_processes()));
-  net().monitor_buffer_change(coord, snap.bytes(), +1);
-
-  const int slot = slot_of_pid_.at(p.from.pid.idx());
-  WCP_CHECK_MSG(slot >= 0, "snapshot from non-predicate process " << p.from);
-  const auto su = static_cast<std::size_t>(slot);
-
-  // FIFO app->coordinator gives states in order; index == own component.
-  const StateIndex k = snap.vclock[su];
-  WCP_CHECK_MSG(k == static_cast<StateIndex>(states_[su].size()) + 1,
-                "state stream gap at slot " << slot);
-  states_[su].push_back(std::move(snap));
-  ++states_received_;
-
-  core_->on_state(su);
-  if (core_->done()) {
-    if (core_->detected()) detect_time_ = net().simulator().now();
-    net().simulator().stop();
-  }
 }
 
 }  // namespace wcp::slice

@@ -1,8 +1,8 @@
 // Online computation slicing — incremental slice-based detection in the
-// style of Chauhan et al.'s distributed abstraction algorithm, hosted on
-// the simulator the same way the online Cooper-Marzullo checker is
-// (detect/lattice_online.h): every predicate process streams a snapshot of
-// EVERY local state (vector clock + predicate value) to one coordinator.
+// style of Chauhan et al.'s distributed abstraction algorithm: every
+// predicate process streams a snapshot of EVERY local state (vector clock +
+// predicate value) to one coordinator, as for the online Cooper-Marzullo
+// checker (detect/lattice_online.h).
 //
 // Where the Cooper-Marzullo checker materializes the lattice of consistent
 // cuts breadth-first (O(m^n) cuts), the online slicer maintains exactly ONE
@@ -12,21 +12,20 @@
 // On stabilization the candidate is the same pointwise-minimal cut
 // detect_lattice returns. After the run, the slice of the received stream
 // is built to report slice-specific counters (JIL groups, quotient-DAG
-// edges, satisfying-cut count) next to the baseline's cuts_explored.
+// edges, satisfying-cut count) next to the baseline's cuts_explored
+// (detect::run_slice_online, detect/sliced.h).
 //
-// The candidate fixpoint lives in slice::SlicerCore so the streaming
-// service (src/serve) can run it over wire-fed streams; SlicerCore is the
-// cheapest core of the four — O(n) resident state, frontier == candidate.
+// The candidate fixpoint is SlicerCore, run by the simulator's coordinator
+// host (detect/core_host.h) and by the streaming service (src/serve);
+// SlicerCore is the cheapest core of the four — O(n) resident state,
+// frontier == candidate.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "app/snapshot.h"
-#include "app/snapshot_stream.h"
 #include "app/state_stream.h"
-#include "sim/network.h"
 #include "slice/slice.h"
 
 namespace wcp::slice {
@@ -85,8 +84,6 @@ class SlicerCore final : public app::StreamCore {
   [[nodiscard]] const std::vector<StateIndex>& candidate() const {
     return candidate_;
   }
-  /// Some slot's stream ended below the candidate: no satisfying cut.
-  [[nodiscard]] bool impossible() const { return done_ && !detected_; }
   [[nodiscard]] std::int64_t jil_advances() const { return jil_advances_; }
   [[nodiscard]] std::int64_t clock_lookups() const { return clock_lookups_; }
 
@@ -102,56 +99,6 @@ class SlicerCore final : public app::StreamCore {
   bool detected_ = false;
   std::int64_t jil_advances_ = 0;
   std::int64_t clock_lookups_ = 0;
-};
-
-/// Coordinator node running the incremental candidate fixpoint.
-class OnlineSlicer final : public sim::Node {
- public:
-  struct Config {
-    std::vector<ProcessId> slot_to_pid;
-  };
-
-  explicit OnlineSlicer(Config cfg);
-
-  void on_packet(sim::Packet&& p) override;
-
-  [[nodiscard]] bool detected() const {
-    return core_->done() && core_->detected();
-  }
-  [[nodiscard]] const std::vector<StateIndex>& cut() const {
-    return core_->candidate();
-  }
-  [[nodiscard]] SimTime detect_time() const { return detect_time_; }
-  /// Some slot's stream ended below the candidate: no satisfying cut.
-  [[nodiscard]] bool impossible() const { return core_->impossible(); }
-
-  [[nodiscard]] std::int64_t states_received() const {
-    return states_received_;
-  }
-  [[nodiscard]] std::int64_t jil_advances() const {
-    return core_->jil_advances();
-  }
-  [[nodiscard]] std::int64_t clock_lookups() const {
-    return core_->clock_lookups();
-  }
-
-  /// The snapshot streams received so far (for post-run slice building).
-  [[nodiscard]] const std::vector<std::vector<app::VcSnapshot>>& states()
-      const {
-    return states_;
-  }
-
- private:
-  [[nodiscard]] std::size_t n() const { return cfg_.slot_to_pid.size(); }
-
-  Config cfg_;
-  std::vector<std::vector<app::VcSnapshot>> states_;  // per slot, in order
-  std::vector<bool> eos_;
-  std::vector<int> slot_of_pid_;
-  app::SnapshotStateStream stream_;
-  std::unique_ptr<SlicerCore> core_;
-  SimTime detect_time_ = 0;
-  std::int64_t states_received_ = 0;
 };
 
 }  // namespace wcp::slice

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "detect/core_host.h"
+#include "detect/stream_core.h"
 #include "detect/token_vc.h"
 #include "workload/random_workload.h"
 
@@ -109,6 +111,46 @@ TEST(Centralized, CheckerSendsNoMessages) {
   const auto r = run_centralized(comp, opts());
   EXPECT_EQ(r.monitor_metrics.total_messages(), 0);
   EXPECT_EQ(r.token_hops, 0);
+}
+
+// A resequencing reliable transport may hand the coordinator several
+// snapshots in the one event that detects. The coordinator stops there:
+// snapshots delivered after the detection are neither stored nor charged.
+TEST(Centralized, SnapshotsDeliveredAfterDetectionAreNotCharged) {
+  ComputationBuilder b(2);
+  b.mark_pred(ProcessId(0), true);
+  b.mark_pred(ProcessId(1), true);
+  const auto comp = b.build();
+  sim::Network net(network_config(RunOptions{}, comp.num_processes()));
+  auto owned = std::make_unique<CoreHost>(comp, /*all_states=*/false,
+                                          /*ends_on_eos=*/false,
+                                          make_core<CentralizedCore>());
+  CoreHost& host = *owned;
+  net.add_node(sim::NodeAddr::coordinator(), std::move(owned));
+  const auto deliver = [&host](int pid, std::vector<StateIndex> vc) {
+    app::VcSnapshot snap;
+    snap.vclock = VectorClock(std::move(vc));
+    const std::int64_t bits = snap.bits();
+    host.on_packet(sim::Packet{sim::NodeAddr::app(ProcessId(pid)),
+                               sim::NodeAddr::coordinator(),
+                               MsgKind::kSnapshot, bits, std::move(snap)});
+  };
+
+  deliver(0, {1, 0});
+  deliver(1, {0, 1});
+  ASSERT_TRUE(host.core<CentralizedCore>().detected());
+  const ProcessMetrics& coord = net.monitor_metrics().at(ProcessId(2));
+  const ProcessMetrics at_detection = coord;
+  EXPECT_GT(at_detection.work_units, 0);
+  EXPECT_GT(at_detection.buffered_bytes, 0);
+
+  deliver(0, {2, 0});
+  EXPECT_EQ(coord.work_units, at_detection.work_units);
+  EXPECT_EQ(coord.buffered_bytes, at_detection.buffered_bytes);
+  EXPECT_EQ(coord.peak_buffered_bytes, at_detection.peak_buffered_bytes);
+  EXPECT_EQ(host.states()[0].size(), 1u);
+  EXPECT_EQ(host.core<CentralizedCore>().cut(),
+            (std::vector<StateIndex>{1, 1}));
 }
 
 }  // namespace
