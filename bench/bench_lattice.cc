@@ -121,9 +121,8 @@ void BM_Lattice_Parallel(benchmark::State& state) {
   rp.N = static_cast<std::int64_t>(n);
   rp.n = static_cast<std::int64_t>(n);
   rp.m = states;
-  // storage is the one result block that varies with the thread count (the
-  // parallel explorer shards its arenas), so it stays out of the byte-diff
-  // gate and goes into the per-thread-count rows here.
+  // storage stays out of the CLI's JSON report (and so out of its
+  // byte-diff gate); it is recorded in the per-thread-count rows here.
   report_run(state, "E10_lattice_par_t" + std::to_string(threads), rp,
              {{"threads", static_cast<std::int64_t>(threads)},
               {"lattice_cuts", lat.cuts_explored},

@@ -1,18 +1,14 @@
-// E20 — multicore scaling of the barrier-free lattice engine
-// (ALGORITHMS.md §15).
+// E20 — multicore scaling of the table-free lattice search
+// (search_levels, ALGORITHMS.md §15).
 //
 // Workload: the E10 blowup point (n = 6 independent processes, m = 10, so
 // the full 10^6-cut lattice is explored) — the largest committed
-// exploration, and one whose level structure starts and ends narrow, which
-// is exactly the shape the old level-synchronous barrier serialized on and
-// the work-stealing frontier does not.
+// exploration. Its levels start and end narrow: the levels below the
+// search's inline threshold run on the calling thread at every K, so the
+// speedup measures how well the wide middle levels split over lanes.
 //
 // Counters per thread count K:
 //   wall_ms   best-of-iterations wall clock of detect_lattice at K threads
-//   explore_ms, replay_ms
-//             that iteration's phase split (LatticeResult): the concurrent
-//             exploration and the serial replay; at K = 1 the serial
-//             engine runs, so explore_ms is its whole search and replay_ms 0
 //   speedup   wall_ms(1) / wall_ms(K)
 //   cores     std::thread::hardware_concurrency() on this runner
 //
@@ -59,18 +55,12 @@ void BM_MC_Scaling(benchmark::State& state) {
 
   detect::LatticeResult lat;
   double best_ms = std::numeric_limits<double>::infinity();
-  double explore_ms = 0.0, replay_ms = 0.0;
   for (auto _ : state) {
     const auto t0 = std::chrono::steady_clock::now();
     lat = detect::detect_lattice(comp, /*max_cuts=*/50'000'000, threads);
     const auto t1 = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (ms < best_ms) {
-      best_ms = ms;
-      explore_ms = lat.explore_ms;
-      replay_ms = lat.replay_ms;
-    }
+    best_ms = std::min(
+        best_ms, std::chrono::duration<double, std::milli>(t1 - t0).count());
     benchmark::DoNotOptimize(lat.detected);
   }
   wall_ms_by_threads()[threads] = best_ms;
@@ -83,8 +73,6 @@ void BM_MC_Scaling(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(threads);
   state.counters["cores"] = static_cast<double>(cores);
   state.counters["wall_ms"] = best_ms;
-  state.counters["explore_ms"] = explore_ms;
-  state.counters["replay_ms"] = replay_ms;
   state.counters["speedup"] = speedup;
   state.counters["lattice_cuts"] = static_cast<double>(lat.cuts_explored);
 
@@ -96,8 +84,6 @@ void BM_MC_Scaling(benchmark::State& state) {
              {{"threads", static_cast<std::int64_t>(threads)},
               {"cores", static_cast<std::int64_t>(cores)},
               {"wall_ms", best_ms},
-              {"explore_ms", explore_ms},
-              {"replay_ms", replay_ms},
               {"speedup", speedup},
               {"lattice_cuts", lat.cuts_explored},
               {"max_frontier", lat.max_frontier}},

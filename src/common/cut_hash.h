@@ -1,20 +1,12 @@
 // FNV-1a hash over the components of a global-state cut.
 //
 // The one shared definition of the cut hash used by every detector that
-// keys hash containers on cuts (lattice BFS visited sets, slice quotient
-// interning, sharded parallel frontiers, the flat CutTable). Sharing one
-// definition matters for the parallel detectors: the visited shards are
-// partitioned by this hash, and the serial/parallel equivalence argument
-// leans on every layer agreeing on it.
-//
-// All overloads hash the *logical* component values, so a cut stored as
-// packed 32-bit components (common/cut_storage.h) hashes identically to
-// the same cut held in a std::vector<StateIndex> — shard assignment is
-// representation-independent.
+// keys hash containers on cuts (the definitely BFS visited set, slice
+// quotient interning, the online lattice checker — all through the flat
+// CutTable, which stores the hash of each cut it interns).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -22,70 +14,10 @@
 
 namespace wcp {
 
-/// Zobrist-style incremental cut hash: h(cut) = XOR over slots of a mixed
-/// per-(slot, value) key, so advancing one component updates the hash in
-/// O(1) (XOR out the old key, XOR in the new one) instead of rehashing all
-/// N components. The keys are computed on the fly with a splitmix64-style
-/// finalizer rather than looked up in a pre-filled table — the mix is a few
-/// cycles and keeps the hash a pure function of the cut (no shared table to
-/// initialize or share across threads).
-///
-/// This is the hash of the lock-free concurrent engine (detect/lattice.cc,
-/// common/lockfree_table.h). It deliberately differs from CutHash below:
-/// the concurrent table is not shard-partitioned, so nothing requires the
-/// two definitions to agree — the serial-replay oracle compares *results*,
-/// not hash values.
-struct ZobristCutHash {
-  /// Mixed 64-bit key of (slot, value). Values are packed 32-bit cut
-  /// components, slots are < 2^32, so the pair packs injectively into the
-  /// finalizer input.
-  [[nodiscard]] static std::uint64_t entry(std::size_t slot,
-                                           std::uint32_t value) noexcept {
-    std::uint64_t x = (static_cast<std::uint64_t>(slot) << 32) | value;
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-  }
-
-  [[nodiscard]] std::uint64_t operator()(
-      std::span<const std::uint32_t> cut) const noexcept {
-    std::uint64_t h = 0;
-    for (std::size_t s = 0; s < cut.size(); ++s) h ^= entry(s, cut[s]);
-    return h;
-  }
-  [[nodiscard]] std::uint64_t operator()(
-      std::span<const StateIndex> cut) const noexcept {
-    std::uint64_t h = 0;
-    for (std::size_t s = 0; s < cut.size(); ++s)
-      h ^= entry(s, static_cast<std::uint32_t>(cut[s]));
-    return h;
-  }
-
-  /// Hash of the cut that differs from one hashing `h` only at `slot`,
-  /// where component `from` became `to`. O(1); XOR self-inverse makes
-  /// advance(advance(h, s, a, b), s, b, a) == h (undo).
-  [[nodiscard]] static std::uint64_t advance(std::uint64_t h, std::size_t slot,
-                                             std::uint32_t from,
-                                             std::uint32_t to) noexcept {
-    return h ^ entry(slot, from) ^ entry(slot, to);
-  }
-};
-
 struct CutHash {
   std::size_t operator()(std::span<const StateIndex> cut) const noexcept {
     std::size_t h = 0xcbf29ce484222325ULL;
     for (StateIndex k : cut) {
-      h ^= static_cast<std::size_t>(k);
-      h *= 0x100000001b3ULL;
-    }
-    return h;
-  }
-  /// Packed cuts (CutArena storage): component values are non-negative and
-  /// < 2^32, so the widening cast reproduces the StateIndex hash exactly.
-  std::size_t operator()(std::span<const std::uint32_t> cut) const noexcept {
-    std::size_t h = 0xcbf29ce484222325ULL;
-    for (std::uint32_t k : cut) {
       h ^= static_cast<std::size_t>(k);
       h *= 0x100000001b3ULL;
     }

@@ -39,26 +39,6 @@ CutHandle CutArena::push(std::span<const StateIndex> cut) {
   return static_cast<CutHandle>(h);
 }
 
-CutHandle CutArena::push_packed(std::span<const std::uint32_t> cut) {
-  WCP_REQUIRE(cut.size() == width_, "cut width mismatch");
-  const std::size_t h = size();
-  WCP_REQUIRE(h < kNoCut, "cut arena handle space exhausted");
-  grow_for_push();
-  data_.insert(data_.end(), cut.begin(), cut.end());
-  note_capacity();
-  return static_cast<CutHandle>(h);
-}
-
-void CutArena::resize(std::size_t cuts) {
-  data_.assign(cuts * width_, 0);
-  note_capacity();
-}
-
-void CutArena::reserve(std::size_t cuts) {
-  data_.reserve(cuts * width_);
-  note_capacity();
-}
-
 void CutArena::copy_to(CutHandle h, std::vector<StateIndex>& out) const {
   const auto c = get(h);
   out.resize(width_);
@@ -83,11 +63,6 @@ bool equal_logical(std::span<const std::uint32_t> stored,
   for (std::size_t i = 0; i < stored.size(); ++i)
     if (static_cast<StateIndex>(stored[i]) != cut[i]) return false;
   return true;
-}
-
-bool equal_packed(std::span<const std::uint32_t> stored,
-                  std::span<const std::uint32_t> cut) {
-  return std::equal(stored.begin(), stored.end(), cut.begin());
 }
 
 }  // namespace
@@ -141,19 +116,6 @@ CutTable::Result CutTable::intern(CutArena& arena,
   return {h, true};
 }
 
-CutTable::Result CutTable::intern_packed(CutArena& arena,
-                                         std::span<const std::uint32_t> cut,
-                                         std::size_t hash) {
-  if ((count_ + 1) * 10 >= slots_.size() * 7) grow();
-  const std::size_t idx = probe(
-      hash, [&](CutHandle h) { return equal_packed(arena.get(h), cut); });
-  if (slots_[idx].handle != kNoCut) return {slots_[idx].handle, false};
-  const CutHandle h = arena.push_packed(cut);
-  slots_[idx] = Slot{static_cast<std::uint32_t>(hash), h};
-  ++count_;
-  return {h, true};
-}
-
 CutHandle CutTable::find(const CutArena& arena,
                          std::span<const StateIndex> cut,
                          std::size_t hash) const {
@@ -161,96 +123,6 @@ CutHandle CutTable::find(const CutArena& arena,
   const std::size_t idx = probe(
       hash, [&](CutHandle h) { return equal_logical(arena.get(h), cut); });
   return slots_[idx].handle;
-}
-
-// ---- SegmentedCutStore ------------------------------------------------------
-
-SegmentedCutStore::Block::Block(std::size_t width, std::size_t cap)
-    : cuts(width),
-      hash(cap),
-      level(cap),
-      false_count(cap),
-      expanded(cap, 0),
-      succ(cap * width) {
-  // Fixed-capacity arena: all cap slots exist up front and are written in
-  // place via slot(), so the backing buffer never reallocates — the
-  // no-moved-cuts guarantee the acquire/release block publication needs.
-  cuts.resize(cap);
-}
-
-SegmentedCutStore::SegmentedCutStore(std::size_t width, std::size_t lanes)
-    : width_(width), lanes_(lanes) {
-  WCP_REQUIRE(width >= 1, "segmented cut store needs width >= 1");
-  WCP_REQUIRE(lanes >= 1 && lanes <= kMaxLanes,
-              "segmented cut store lanes out of range: " << lanes);
-}
-
-SegmentedCutStore::~SegmentedCutStore() {
-  for (Lane& lane : lanes_)
-    for (auto& b : lane.blocks)
-      delete b.load(std::memory_order_relaxed);
-}
-
-SegmentedCutStore::Block& SegmentedCutStore::ensure_block(std::size_t lane,
-                                                          std::size_t blk) {
-  auto& slot = lanes_[lane].blocks[blk];
-  Block* b = slot.load(std::memory_order_acquire);
-  if (b != nullptr) return *b;
-  // Only the owner lane stages into its segment, so block creation is
-  // single-threaded per slot; the release store publishes the fully
-  // constructed block to readers.
-  const std::size_t cap = block_cap(blk);
-  b = new Block(width_, cap);
-  // Per cut: packed components + successor array (width u32 each), 8-byte
-  // hash, 4-byte level, 1-byte false_count, 1-byte expanded flag.
-  const std::size_t per_cut = 2 * width_ * sizeof(std::uint32_t) +
-                              sizeof(std::uint64_t) + sizeof(std::uint32_t) + 2;
-  bytes_.fetch_add(static_cast<std::int64_t>(cap * per_cut),
-                   std::memory_order_relaxed);
-  block_allocs_.fetch_add(1, std::memory_order_relaxed);
-  slot.store(b, std::memory_order_release);
-  return *b;
-}
-
-CutHandle SegmentedCutStore::stage(std::size_t lane,
-                                   std::span<const std::uint32_t> cut,
-                                   std::uint64_t hash, std::uint32_t level,
-                                   std::uint8_t false_count) {
-  Lane& L = lanes_[lane];
-  const std::size_t local = L.count;
-  // Strict < so the packed handle can never equal kNoCut, even at lane 63.
-  WCP_REQUIRE(local < (std::size_t{1} << kLocalBits) - 1,
-              "segmented cut store lane segment exhausted");
-  const std::size_t blk = block_of(local);
-  Block& b = ensure_block(lane, blk);
-  const std::size_t off = local - block_first(blk);
-  const auto dst = b.cuts.slot(static_cast<CutHandle>(off));
-  std::copy(cut.begin(), cut.end(), dst.begin());
-  b.hash[off] = hash;
-  b.level[off] = level;
-  b.false_count[off] = false_count;
-  return static_cast<CutHandle>((lane << kLocalBits) | local);
-}
-
-std::size_t SegmentedCutStore::total_cuts() const {
-  std::size_t total = 0;
-  for (const Lane& lane : lanes_) total += lane.count;
-  return total;
-}
-
-void SegmentedCutStore::add_stats(CutStorageStats& s) const {
-  // Blocks are never freed during a run, so allocated == peak.
-  s.peak_bytes += bytes_.load(std::memory_order_relaxed);
-  s.cuts_interned += static_cast<std::int64_t>(total_cuts());
-  s.heap_allocs += block_allocs_.load(std::memory_order_relaxed);
-}
-
-std::vector<StateIndex> SegmentedCutStore::materialize(CutHandle h) const {
-  const auto c = cut(h);
-  std::vector<StateIndex> out(width_);
-  for (std::size_t i = 0; i < width_; ++i)
-    out[i] = static_cast<StateIndex>(c[i]);
-  return out;
 }
 
 }  // namespace wcp

@@ -13,21 +13,18 @@
 // is a plain std::vector keyed by handle rather than a hash map.
 //
 // Determinism: the table stores the shared wcp::CutHash value (see
-// common/cut_hash.h) and hashes the logical component values, so shard
-// partitioning and first-insert-wins dedup semantics are exactly those of
-// the old std::unordered_set<std::vector<StateIndex>, CutHash> containers.
+// common/cut_hash.h) and hashes the logical component values, so its
+// first-insert-wins dedup semantics are exactly those of the old
+// std::unordered_set<std::vector<StateIndex>, CutHash> containers.
 // Components are packed to 32 bits losslessly (state indices are bounded
 // by the per-process event count; push() checks the bound).
 //
 // Everything here is measured: both structures track a peak-bytes
 // high-water mark, the number of capacity growths (heap allocations on the
-// hot path), and the table counts slot probes — the counters behind the
-// E17 storage bench and the `storage` block of the detector results.
+// hot path), and the table counts slot probes — the `storage` block of
+// the results of the searches that keep visited cuts.
 #pragma once
 
-#include <array>
-#include <atomic>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -43,7 +40,7 @@ using CutHandle = std::uint32_t;
 inline constexpr CutHandle kNoCut = 0xFFFFFFFFu;
 
 /// Storage accounting for one detector run (summed over every arena and
-/// table the run used; sharded parallel runs sum their shards).
+/// table the run used).
 struct CutStorageStats {
   std::int64_t peak_bytes = 0;     ///< high-water mark of arena+table bytes
   std::int64_t cuts_interned = 0;  ///< distinct cuts held across all arenas
@@ -74,27 +71,14 @@ class CutArena {
 
   /// Appends a copy of `cut`, packing components to 32 bits (checked).
   CutHandle push(std::span<const StateIndex> cut);
-  /// Appends an already-packed cut (e.g. from another arena's slot).
-  CutHandle push_packed(std::span<const std::uint32_t> cut);
-  /// Appends `cuts` zero-filled slots (phase-A scratch: threads then write
-  /// disjoint slots via slot()).
-  void resize(std::size_t cuts);
-  /// Grows capacity to `cuts` without changing size.
-  void reserve(std::size_t cuts);
 
   [[nodiscard]] std::span<const std::uint32_t> get(CutHandle h) const {
-    return {data_.data() + static_cast<std::size_t>(h) * width_, width_};
-  }
-  [[nodiscard]] std::span<std::uint32_t> slot(CutHandle h) {
     return {data_.data() + static_cast<std::size_t>(h) * width_, width_};
   }
 
   /// Widens cut `h` into `out` (resized to width, capacity reused).
   void copy_to(CutHandle h, std::vector<StateIndex>& out) const;
   [[nodiscard]] std::vector<StateIndex> materialize(CutHandle h) const;
-
-  /// Drops every cut but keeps the capacity (per-level reset).
-  void clear() { data_.clear(); }
 
   [[nodiscard]] std::int64_t bytes_in_use() const {
     return static_cast<std::int64_t>(data_.size() * sizeof(std::uint32_t));
@@ -124,8 +108,8 @@ class CutArena {
 
 /// Open-addressing (linear probing, power-of-two capacity) hash set of
 /// arena handles with precomputed hashes. The caller supplies the
-/// wcp::CutHash value, so dedup and shard partitioning agree bit-for-bit
-/// with the node-based containers this replaces — and the test suite can
+/// wcp::CutHash value, so dedup agrees bit-for-bit with the node-based
+/// containers this replaces — and the test suite can
 /// force collisions by lying about the hash.
 class CutTable {
  public:
@@ -137,9 +121,6 @@ class CutTable {
   /// Finds `cut`; on miss pushes it into `arena` and records the handle.
   Result intern(CutArena& arena, std::span<const StateIndex> cut,
                 std::size_t hash);
-  /// Same for an already-packed cut (parallel candidate slots).
-  Result intern_packed(CutArena& arena, std::span<const std::uint32_t> cut,
-                       std::size_t hash);
 
   /// Handle of `cut`, or kNoCut.
   [[nodiscard]] CutHandle find(const CutArena& arena,
@@ -183,187 +164,6 @@ class CutTable {
   mutable std::int64_t probes_ = 0;
   std::int64_t peak_bytes_ = 0;
   std::int64_t growths_ = 0;
-};
-
-/// Concurrently-readable cut store made of per-lane CutArena segments — the
-/// storage half of the lock-free exploration engine (the dedup half is
-/// common/lockfree_table.h).
-///
-/// Each lane (worker thread) appends cuts only to its own segment, so
-/// writers never contend; any lane may read any published cut. A handle
-/// packs (lane, local index); the local index is decomposed into a chain of
-/// geometrically-growing blocks so a segment can grow without ever moving a
-/// published cut — block pointers are published with a release store and
-/// read with an acquire load, and the blocks themselves are fixed-capacity
-/// CutArenas (reserved up front, never reallocated). Alongside the packed
-/// components, each cut carries the per-cut state of the concurrent engine:
-/// its 64-bit Zobrist hash (for table growth), lattice level, count of
-/// predicate-false components (0 ⇔ the cut satisfies the WCP), an expanded
-/// flag, and a width-sized successor-handle array filled by the lane that
-/// expands the cut.
-///
-/// Publication protocol (one in-flight staged cut per lane):
-///   1. stage(lane, ...) writes the cut and its metadata at the lane's next
-///      local index WITHOUT advancing the count, and returns the handle the
-///      cut will have if it wins;
-///   2. the lock-free table CASes {hash, handle} into a slot — the release
-///      CAS is what makes the staged bytes visible to other lanes (they
-///      reach them only through an acquire read of the slot);
-///   3. on CAS success the lane calls publish(lane) (count++); on loss the
-///      staged bytes are simply overwritten by the next stage (unstage() is
-///      a documentation no-op).
-///
-/// The successor array and expanded flag are written by the unique lane
-/// that pops the cut from the work-stealing frontier (pop/steal hand-off is
-/// mutex-protected, which orders those writes) and read only after the pool
-/// join — the serial-replay pass runs single-threaded on quiescent data.
-class SegmentedCutStore {
- public:
-  static constexpr std::size_t kLaneBits = 6;
-  static constexpr std::size_t kMaxLanes = std::size_t{1} << kLaneBits;
-  static constexpr std::size_t kLocalBits = 32 - kLaneBits;
-  static constexpr std::uint32_t kLocalMask =
-      (std::uint32_t{1} << kLocalBits) - 1;
-
-  SegmentedCutStore(std::size_t width, std::size_t lanes);
-  ~SegmentedCutStore();
-
-  SegmentedCutStore(const SegmentedCutStore&) = delete;
-  SegmentedCutStore& operator=(const SegmentedCutStore&) = delete;
-
-  [[nodiscard]] std::size_t width() const { return width_; }
-  [[nodiscard]] std::size_t lanes() const { return lanes_.size(); }
-
-  // -- owner-lane write protocol (stage → table CAS → publish/unstage) --
-
-  /// Writes `cut` + metadata at lane's next local index; the cut is
-  /// invisible to other lanes until a table CAS publishes its handle.
-  CutHandle stage(std::size_t lane, std::span<const std::uint32_t> cut,
-                  std::uint64_t hash, std::uint32_t level,
-                  std::uint8_t false_count);
-  /// Commits the staged cut (CAS won): the lane's next stage gets a fresh
-  /// index.
-  void publish(std::size_t lane) { ++lanes_[lane].count; }
-  /// CAS lost: the staged bytes were never published; the next stage at
-  /// this lane overwrites them. Kept as an explicit call so every stage is
-  /// visibly paired with publish or unstage.
-  void unstage(std::size_t /*lane*/) {}
-
-  // -- cross-lane reads (handle must come from a published table slot) --
-
-  [[nodiscard]] std::span<const std::uint32_t> cut(CutHandle h) const {
-    std::size_t off;
-    const Block& b = block_for(h, off);
-    return b.cuts.get(static_cast<CutHandle>(off));
-  }
-  [[nodiscard]] std::uint64_t hash(CutHandle h) const {
-    std::size_t off;
-    return block_for(h, off).hash[off];
-  }
-  [[nodiscard]] std::uint32_t level(CutHandle h) const {
-    std::size_t off;
-    return block_for(h, off).level[off];
-  }
-  /// Number of components whose local predicate is false; 0 ⇔ satisfying.
-  [[nodiscard]] std::uint8_t false_count(CutHandle h) const {
-    std::size_t off;
-    return block_for(h, off).false_count[off];
-  }
-  [[nodiscard]] bool satisfying(CutHandle h) const {
-    return false_count(h) == 0;
-  }
-
-  // -- popper-owned per-cut state (one writer: the expanding lane) --
-
-  /// Successor-handle array of `h`, width() entries in slot order (kNoCut
-  /// where no consistent successor was recorded).
-  [[nodiscard]] std::span<std::uint32_t> succ(CutHandle h) {
-    std::size_t off;
-    Block& b = block_for_mut(h, off);
-    return {b.succ.data() + off * width_, width_};
-  }
-  [[nodiscard]] std::span<const std::uint32_t> succ(CutHandle h) const {
-    std::size_t off;
-    const Block& b = block_for(h, off);
-    return {b.succ.data() + off * width_, width_};
-  }
-  void mark_expanded(CutHandle h) {
-    std::size_t off;
-    block_for_mut(h, off).expanded[off] = 1;
-  }
-  [[nodiscard]] bool expanded(CutHandle h) const {
-    std::size_t off;
-    return block_for(h, off).expanded[off] != 0;
-  }
-
-  // -- quiescent accessors (post-join, or pre-run) --
-
-  /// Published cuts in one lane's segment.
-  [[nodiscard]] std::size_t lane_count(std::size_t lane) const {
-    return lanes_[lane].count;
-  }
-  [[nodiscard]] std::size_t total_cuts() const;
-  [[nodiscard]] std::int64_t bytes_allocated() const {
-    return bytes_.load(std::memory_order_relaxed);
-  }
-  void add_stats(CutStorageStats& s) const;
-
-  /// Widens cut `h` into a fresh vector (replay result materialization).
-  [[nodiscard]] std::vector<StateIndex> materialize(CutHandle h) const;
-
- private:
-  /// Geometric block chain: block b holds kSegBase << b cuts, so ~26 blocks
-  /// cover the whole 2^26 per-lane handle space and a block pointer, once
-  /// published, is immutable — readers never see a moved cut.
-  static constexpr std::size_t kSegBase = 512;
-  static constexpr std::size_t kMaxBlocks = 20;
-
-  struct Block {
-    Block(std::size_t width, std::size_t cap);
-    CutArena cuts;                          // cap fixed slots, written via slot()
-    std::vector<std::uint64_t> hash;        // full Zobrist hash (table growth)
-    std::vector<std::uint32_t> level;       // lattice level (Σ components − n)
-    std::vector<std::uint8_t> false_count;  // predicate-false component count
-    std::vector<std::uint8_t> expanded;     // set by the expanding lane
-    std::vector<std::uint32_t> succ;        // cap × width successor handles
-  };
-
-  struct alignas(64) Lane {
-    std::array<std::atomic<Block*>, kMaxBlocks> blocks{};
-    std::size_t count = 0;  // published cuts; written only by the owner lane
-  };
-
-  [[nodiscard]] static std::size_t block_of(std::size_t local) {
-    return static_cast<std::size_t>(std::bit_width(local / kSegBase + 1)) - 1;
-  }
-  [[nodiscard]] static std::size_t block_first(std::size_t b) {
-    return kSegBase * ((std::size_t{1} << b) - 1);
-  }
-  [[nodiscard]] static std::size_t block_cap(std::size_t b) {
-    return kSegBase << b;
-  }
-
-  [[nodiscard]] const Block& block_for(CutHandle h, std::size_t& off) const {
-    const std::size_t local = h & kLocalMask;
-    const std::size_t blk = block_of(local);
-    off = local - block_first(blk);
-    return *lanes_[h >> kLocalBits].blocks[blk].load(
-        std::memory_order_acquire);
-  }
-  [[nodiscard]] Block& block_for_mut(CutHandle h, std::size_t& off) {
-    const std::size_t local = h & kLocalMask;
-    const std::size_t blk = block_of(local);
-    off = local - block_first(blk);
-    return *lanes_[h >> kLocalBits].blocks[blk].load(
-        std::memory_order_acquire);
-  }
-
-  Block& ensure_block(std::size_t lane, std::size_t blk);
-
-  std::size_t width_;
-  std::vector<Lane> lanes_;
-  std::atomic<std::int64_t> bytes_{0};
-  std::atomic<std::int64_t> block_allocs_{0};
 };
 
 }  // namespace wcp

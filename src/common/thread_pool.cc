@@ -175,135 +175,4 @@ void ThreadPool::parallel_for(
   if (job->error) std::rethrow_exception(job->error);
 }
 
-// ---- WorkFrontier ----------------------------------------------------------
-
-WorkFrontier::WorkFrontier(std::size_t lanes) : deques_(lanes) {
-  WCP_CHECK_MSG(lanes >= 1, "WorkFrontier needs >= 1 lane");
-}
-
-void WorkFrontier::seed(std::uint32_t item) {
-  pending_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard lk(deques_[0].m);
-  deques_[0].q.push_back(item);
-}
-
-void WorkFrontier::push_batch(std::size_t lane,
-                              std::span<const std::uint32_t> items) {
-  if (items.empty()) return;
-  // The counter rises before the items become visible: a lane can only
-  // observe pending_ == 0 after every pushed item was fully processed.
-  pending_.fetch_add(static_cast<std::int64_t>(items.size()),
-                     std::memory_order_relaxed);
-  std::lock_guard lk(deques_[lane].m);
-  deques_[lane].q.insert(deques_[lane].q.end(), items.begin(), items.end());
-}
-
-bool WorkFrontier::try_pop(std::size_t lane,
-                           std::vector<std::uint32_t>& batch) {
-  Deque& d = deques_[lane];
-  std::lock_guard lk(d.m);
-  if (d.q.empty()) return false;
-  const auto k =
-      static_cast<std::ptrdiff_t>(std::min(d.q.size(), kPopBatch));
-  batch.assign(d.q.rbegin(), d.q.rbegin() + k);
-  d.q.erase(d.q.end() - k, d.q.end());
-  return true;
-}
-
-bool WorkFrontier::try_steal(std::size_t lane,
-                             std::vector<std::uint32_t>& batch) {
-  const std::size_t count = deques_.size();
-  auto& buf = deques_[lane].steal_buf;  // thief-owned scratch, no lock
-  for (std::size_t d = 1; d < count; ++d) {
-    Deque& victim = deques_[(lane + d) % count];
-    {
-      std::unique_lock lk(victim.m, std::try_to_lock);
-      if (!lk.owns_lock() || victim.q.empty()) continue;
-      // Steal the front half: the oldest items, i.e. the shallowest lattice
-      // levels — the widest subtrees, so one steal amortizes many pops.
-      const std::size_t k = (victim.q.size() + 1) / 2;
-      buf.assign(victim.q.begin(),
-                 victim.q.begin() + static_cast<std::ptrdiff_t>(k));
-      victim.q.erase(victim.q.begin(),
-                     victim.q.begin() + static_cast<std::ptrdiff_t>(k));
-    }
-    batch.assign(1, buf.front());
-    if (buf.size() > 1) {
-      std::lock_guard ok(deques_[lane].m);
-      deques_[lane].q.insert(deques_[lane].q.end(), buf.begin() + 1,
-                             buf.end());
-    }
-    steals_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
-}
-
-void WorkFrontier::complete() {
-  // Caller holds qm_ and is the round's last arriver: every other
-  // registered lane is parked in qcv_.wait or blocked on qm_ itself, so fn
-  // runs globally exclusive.
-  (*round_fn_)();
-  round_fn_ = nullptr;
-  round_open_ = false;
-  quiesce_flag_.store(false, std::memory_order_relaxed);
-  arrived_ = 0;
-  ++round_gen_;
-  qcv_.notify_all();
-}
-
-void WorkFrontier::park() {
-  std::unique_lock lk(qm_);
-  if (!round_open_) return;  // round completed before we got here
-  const std::uint64_t gen = round_gen_;
-  if (++arrived_ == active_)
-    complete();
-  else
-    qcv_.wait(lk, [&] { return round_gen_ != gen; });
-}
-
-void WorkFrontier::quiesce(const std::function<void()>& fn) {
-  std::unique_lock lk(qm_);
-  if (!round_open_) {
-    round_open_ = true;
-    round_fn_ = &fn;
-    quiesce_flag_.store(true, std::memory_order_relaxed);
-  }
-  // else: coalesce into the in-flight round — its fn runs, ours does not;
-  // the caller re-checks its condition and quiesces again if still needed.
-  const std::uint64_t gen = round_gen_;
-  if (++arrived_ == active_)
-    complete();
-  else
-    qcv_.wait(lk, [&] { return round_gen_ != gen; });
-}
-
-void WorkFrontier::run_lane(
-    std::size_t lane, const std::function<void(std::uint32_t)>& process) {
-  {
-    std::lock_guard lk(qm_);
-    ++active_;
-  }
-  std::vector<std::uint32_t> batch;
-  batch.reserve(kPopBatch);
-  for (;;) {
-    if (quiesce_flag_.load(std::memory_order_relaxed)) park();
-    if (try_pop(lane, batch) || try_steal(lane, batch)) {
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (i > 0 && quiesce_flag_.load(std::memory_order_relaxed)) park();
-        process(batch[i]);
-      }
-      pending_.fetch_sub(static_cast<std::int64_t>(batch.size()),
-                         std::memory_order_release);
-      continue;
-    }
-    if (pending_.load(std::memory_order_acquire) == 0) break;
-    std::this_thread::yield();
-  }
-  // Exit can never race an open round: a round implies some lane is inside
-  // process() with its item still counted, so pending_ was nonzero above.
-  std::lock_guard lk(qm_);
-  --active_;
-}
-
 }  // namespace wcp::common

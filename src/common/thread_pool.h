@@ -23,14 +23,11 @@
 // falls back to std::thread::hardware_concurrency().
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -128,104 +125,6 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   std::size_t next_queue_ = 0;  // round-robin submission cursor
   bool stop_ = false;
-};
-
-/// Work-stealing frontier for the barrier-free lattice exploration engine
-/// (detect/lattice.cc): per-lane deques of 32-bit work items (cut handles),
-/// steal-half load balancing, and idle-detection termination — the lb.c
-/// scheme from ltsmin, layered on the ThreadPool (each lane is one
-/// parallel_for chunk driving run_lane).
-///
-/// Item accounting: a global in-flight counter is incremented *before* an
-/// item becomes visible in any deque and decremented only *after* its
-/// processing completed (including any items it pushed). A lane that finds
-/// every deque empty exits only when the counter reads zero — at which
-/// point no item exists and none can appear, because only processing
-/// creates items. There is no barrier anywhere on the hot path: lanes push,
-/// pop, and steal fully independently.
-///
-/// Batched pops: a lane takes up to kPopBatch items off the back of its
-/// own deque under one lock, processes them in LIFO order, and retires the
-/// whole batch from the in-flight counter with one RMW. A held batch is
-/// in flight (counted, not stealable), so the termination argument is
-/// unchanged; the lane still checks for a quiesce round between items.
-///
-/// Quiesce rendezvous: a lane that needs a globally-exclusive operation
-/// (growing the lock-free table) calls quiesce(fn) from inside its
-/// process() callback. Every active lane parks at the rendezvous between
-/// items; the last arriver runs fn and releases the round. Concurrent
-/// requests coalesce into one round (fn runs once; callers re-check their
-/// condition after). Termination cannot race the rendezvous: the
-/// requester's in-flight item is not yet decremented, so the counter stays
-/// positive and no lane can exit mid-round.
-class WorkFrontier {
- public:
-  explicit WorkFrontier(std::size_t lanes);
-
-  WorkFrontier(const WorkFrontier&) = delete;
-  WorkFrontier& operator=(const WorkFrontier&) = delete;
-
-  [[nodiscard]] std::size_t lanes() const { return deques_.size(); }
-
-  /// Pre-run seeding (single-threaded): enqueue `item` on lane 0.
-  void seed(std::uint32_t item);
-
-  /// Publishes a batch of new items to the lane's own deque. Called from
-  /// inside process(); one lock round-trip amortized over the whole batch.
-  void push_batch(std::size_t lane, std::span<const std::uint32_t> items);
-
-  /// Lane main loop: pops (own back, LIFO) or steals (front half of a
-  /// victim), runs process(item), until global quiescence. Call once per
-  /// lane, one lane per thread (a ThreadPool::parallel_for over lanes with
-  /// grain 1).
-  void run_lane(std::size_t lane,
-                const std::function<void(std::uint32_t)>& process);
-
-  /// Globally-exclusive section, callable only from inside process(): all
-  /// active lanes rendezvous, exactly one runs `fn`, all resume. Multiple
-  /// concurrent requests coalesce — the caller must re-check whether its
-  /// reason for quiescing still holds and, if so, call again.
-  void quiesce(const std::function<void()>& fn);
-
-  /// Successful steal operations (quiescent read).
-  [[nodiscard]] std::int64_t steals() const {
-    return steals_.load(std::memory_order_relaxed);
-  }
-
- private:
-  /// Items one pop takes off the lane's own deque.
-  static constexpr std::size_t kPopBatch = 8;
-
-  struct alignas(64) Deque {
-    std::mutex m;
-    std::vector<std::uint32_t> q;          // guarded by m
-    std::vector<std::uint32_t> steal_buf;  // scratch of the OWNER as thief
-  };
-
-  /// Fill `batch` with up to kPopBatch items (own back, LIFO order) or
-  /// with one stolen item; false when there was nothing to take.
-  bool try_pop(std::size_t lane, std::vector<std::uint32_t>& batch);
-  bool try_steal(std::size_t lane, std::vector<std::uint32_t>& batch);
-  /// Arrive at an open rendezvous round (or return if none); the last
-  /// arriver runs the round's fn. Called with the flag observed set.
-  void park();
-  /// Runs the round (caller holds qm_ and was the last arriver).
-  void complete();
-
-  std::vector<Deque> deques_;
-  std::atomic<std::int64_t> pending_{0};  // items visible or in processing
-  std::atomic<std::int64_t> steals_{0};
-
-  // Rendezvous state, guarded by qm_. quiesce_flag_ is the lock-free hint
-  // lanes poll between items.
-  std::atomic<bool> quiesce_flag_{false};
-  std::mutex qm_;
-  std::condition_variable qcv_;
-  const std::function<void()>* round_fn_ = nullptr;
-  bool round_open_ = false;
-  std::size_t active_ = 0;   // lanes currently inside run_lane
-  std::size_t arrived_ = 0;  // lanes parked at the current round
-  std::uint64_t round_gen_ = 0;
 };
 
 }  // namespace wcp::common

@@ -196,9 +196,9 @@ GcpResult detect_gcp_lattice(const Computation& comp,
   const auto chans = channel_states(comp, channels, res.procs);
   const SlotClockTable clocks(comp, res.procs);
 
-  const auto out = search_cuts</*kLinks=*/false>(
-      clocks, max_cuts,
-      [&](const std::vector<StateIndex>& cut) {
+  // One lane: channel_evals counts the goal runs on the popped cuts only.
+  const auto out = search_levels(
+      clocks, max_cuts, /*lanes=*/1, [&](std::span<const std::uint32_t> cut) {
         for (const std::size_t s : constrained)
           if (!clocks.pred(s, cut[s])) return false;
         for (const auto& ch : chans) {
@@ -206,8 +206,7 @@ GcpResult detect_gcp_lattice(const Computation& comp,
           if (!ch.holds(cut[ch.from_slot], cut[ch.to_slot])) return false;
         }
         return true;
-      },
-      [](const std::vector<StateIndex>&) { return true; });
+      });
 
   res.detected = out.found;
   res.truncated = out.truncated;

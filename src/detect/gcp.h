@@ -91,7 +91,7 @@ GcpResult detect_gcp(const Computation& comp,
                      std::span<const ChannelPredicate> channels);
 
 /// Brute-force lattice oracle: BFS over consistent cuts of the same process
-/// set (the shared search_cuts of detect/slot_clocks.h), returning the first
+/// set (the shared search_levels of detect/slot_clocks.h), returning the first
 /// (minimal-level) satisfying cut. Explores at most `max_cuts` cuts (<0:
 /// unbounded) and sets `truncated` when it stops at that cap.
 GcpResult detect_gcp_lattice(const Computation& comp,

@@ -11,35 +11,28 @@
 // The number of cuts explored can grow as O(m^n) — the cost that motivates
 // the paper's algorithms; bench E10 measures the blowup.
 //
-// Both detectors are one search: thin adapters map its outcome onto
-// LatticeResult / DefinitelyResult. possibly(WCP) stops at the first
-// satisfying cut; definitely(WCP) walks only non-satisfying cuts and stops
-// at the top cut (reached = some observation avoids the predicate).
+// possibly(WCP) stops at the first satisfying cut; definitely(WCP) walks
+// only non-satisfying cuts and stops at the top cut (reached = some
+// observation avoids the predicate). Both run a search of
+// detect/slot_clocks.h and thin adapters map its outcome onto
+// LatticeResult / DefinitelyResult:
 //
-// Both detectors accept a `threads` parameter. threads <= 1 (the default)
-// runs the reference serial BFS — search_cuts of detect/slot_clocks.h, the
-// loop the GCP oracle and the relational search share. threads > 1 runs
-// the barrier-free concurrent engine (ALGORITHMS.md §15): lanes pop cut
-// handles from a work-stealing frontier in arbitrary order, intern
-// successors exactly once through a lockless CAS-published hash table over
-// per-lane arena segments (incremental Zobrist hashing, O(1) per advance),
-// and record each cut's successor handles. One deterministic serial replay
-// then walks the recorded successor graph in exact serial BFS order, so
-// verdict, cut, cuts_explored, max_frontier, and witness_path are
-// byte-identical to the serial path at every thread count
-// (tests/flat_storage_equiv_test.cc byte-diffs full JSON reports at
-// threads 1/2/4/8). Front ends resolve a
-// user's `--threads 0` through detect::resolve_threads (detect/registry.h).
-// Both engines decide a successor's consistency with one row read of a
-// per-search slot-clock table (detect/slot_clocks.h).
-// Cut storage: both detectors keep every visited cut in flat arenas
-// (common/cut_storage.h) — packed 32-bit components, open-addressing
-// dedup tables with precomputed hashes, dense-handle parent vectors —
-// instead of per-cut heap-allocated std::vector<StateIndex> nodes. The
-// `storage` block of the results reports the measured footprint; it is
-// the one field that legitimately varies with the thread count (the
-// parallel path shards its arenas), so equivalence checks compare
-// everything *except* `storage`.
+//   - detect_lattice admits every consistent cut, so it runs search_levels:
+//     a level-at-a-time BFS that keeps no table of visited cuts and splits
+//     wide levels over `threads` lanes (ALGORITHMS.md §15). Verdict, cut,
+//     cuts_explored, max_frontier, truncation point, witness_path and
+//     storage are those of the serial FIFO BFS at every thread count
+//     (tests/flat_storage_equiv_test.cc and tests/level_search_test.cc
+//     check them against a reference BFS). Front ends resolve a user's
+//     `--threads 0` through detect::resolve_threads (detect/registry.h).
+//   - detect_definitely prunes satisfying cuts, which breaks the
+//     no-table rule, so it runs the serial search_cuts, whose visited cuts
+//     live in flat arenas (common/cut_storage.h): packed 32-bit components,
+//     an open-addressing dedup table, dense-handle parent links.
+//
+// Both decide a successor's consistency with one row read of a per-search
+// slot-clock table (detect/slot_clocks.h). The `storage` block of the
+// results reports the measured footprint.
 #pragma once
 
 #include <cstdint>
@@ -62,23 +55,17 @@ struct LatticeResult {
   std::int64_t cuts_explored = 0;    // distinct consistent cuts visited
   std::int64_t max_frontier = 0;     // peak BFS frontier size
   /// When detected: the BFS path from the bottom cut to `cut`, one advanced
-  /// slot per step, rebuilt from the stored parent offsets (ltsmin-style) —
-  /// the full predecessor cuts are never retained. Expand with
+  /// slot per step — the cut's greedy least path, rebuilt once at the end,
+  /// so no predecessor is ever retained. Expand with
   /// materialize_witness_path. Identical for every thread count.
   std::vector<std::uint32_t> witness_path;
   CutStorageStats storage;           // measured cut-storage footprint
   TraceStoreStats trace_store;       // clock-store footprint (thread-invariant)
-  /// Host wall clock of the search phases — like RunStats::wall_ms, the
-  /// only non-deterministic fields, and never written into a run report.
-  /// explore_ms: the concurrent phase (the whole BFS on the serial path);
-  /// replay_ms: the concurrent path's serial replay (0 on the serial path).
-  double explore_ms = 0.0;
-  double replay_ms = 0.0;
 };
 
-/// Explores at most `max_cuts` consistent cuts (<0: unbounded). `threads`:
-/// <= 1 = serial reference BFS, otherwise the concurrent engine on that
-/// many lanes (identical results).
+/// Explores at most `max_cuts` consistent cuts (<0: unbounded), splitting
+/// wide lattice levels over `threads` lanes (<= 1: the calling thread
+/// only). The result does not depend on `threads`.
 LatticeResult detect_lattice(const Computation& comp,
                              std::int64_t max_cuts = -1,
                              std::size_t threads = 1);
@@ -101,17 +88,15 @@ struct DefinitelyResult {
   /// When definitely == false: the avoiding observation as advanced slots
   /// from the bottom cut to the top cut, rebuilt from stored BFS parent
   /// offsets (`witness` is the first cut on it that diverges past the
-  /// minimal satisfying cut). Identical for every thread count.
+  /// minimal satisfying cut).
   std::vector<std::uint32_t> witness_path;
   CutStorageStats storage;  ///< measured cut-storage footprint
-  TraceStoreStats trace_store;  ///< clock-store footprint (thread-invariant)
-  double explore_ms = 0.0;  ///< host wall clock, as in LatticeResult
-  double replay_ms = 0.0;   ///< host wall clock, as in LatticeResult
+  TraceStoreStats trace_store;  ///< clock-store footprint
 };
 
+/// Explores at most `max_cuts` consistent cuts (<0: unbounded), serially.
 DefinitelyResult detect_definitely(const Computation& comp,
-                                   std::int64_t max_cuts = -1,
-                                   std::size_t threads = 1);
+                                   std::int64_t max_cuts = -1);
 
 /// Expands a parent-offset witness path into the cut sequence it encodes:
 /// result[0] is the bottom cut (all 1s, width n) and result[t+1] advances

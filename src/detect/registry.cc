@@ -121,7 +121,7 @@ constexpr Detector kDetectors[] = {
      }},
     {"definitely", P::kDefinitely, B::kNone,
      [](const Computation& c, Params p) {
-       return from_definitely(detect_definitely(c, p.max_cuts, p.threads));
+       return from_definitely(detect_definitely(c, p.max_cuts));
      }},
     {"definitely-sliced", P::kDefinitely, B::kNone,
      [](const Computation& c, Params p) {

@@ -17,14 +17,13 @@ GeneralResult detect_possibly_general(const pred::VarComputation& vc,
   const SlotClockTable clocks(comp, all);
 
   std::vector<pred::Env> envs(N);
-  const auto out = search_cuts</*kLinks=*/false>(
-      clocks, max_cuts,
-      [&](const std::vector<StateIndex>& cut) {
+  // One lane: phi runs on exactly the popped cuts, in pop order.
+  const auto out = search_levels(
+      clocks, max_cuts, /*lanes=*/1, [&](std::span<const std::uint32_t> cut) {
         for (std::size_t p = 0; p < N; ++p)
           envs[p] = vc.env(ProcessId(static_cast<int>(p)), cut[p]);
         return phi(envs);
-      },
-      [](const std::vector<StateIndex>&) { return true; });
+      });
 
   GeneralResult res;
   res.detected = out.found;

@@ -7,9 +7,10 @@
 // search of the lattice of consistent cuts over all processes — the
 // exponential cost that motivates the paper's WCP-specialized algorithms,
 // but the only general technique for, e.g., x_0 + x_1 + x_2 > K. The search
-// is the shared serial lattice loop (search_cuts, detect/slot_clocks.h)
-// with Φ as its goal test, so it explores exactly the cuts, in exactly the
-// order, that detect_lattice does over the same process list.
+// is the shared admit-all lattice search (search_levels,
+// detect/slot_clocks.h) on one lane with Φ as its goal test, so it explores
+// exactly the cuts, in exactly the order, that detect_lattice does over the
+// same process list.
 #pragma once
 
 #include <cstdint>

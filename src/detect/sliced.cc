@@ -195,7 +195,7 @@ SliceOnlineResult run_slice_online(const Computation& comp,
 
   // Slice of the received stream (the full computation on undetected or
   // late-detection runs), for the pruning counters.
-  const slice::SnapshotInput si(run.host->states());
+  const slice::StreamInput si(run.host->stream());
   const auto sl = slice::Slice::build(si);
   r.slice_groups = sl.num_groups();
   r.slice_edges = sl.num_edges();

@@ -1,13 +1,17 @@
-// Slot-clock table — the successor kernel shared by every lattice search
-// (lattice.cc's serial and concurrent engines, the GCP lattice baseline,
-// the relational possibly(phi) search) — and search_cuts, the one serial
-// breadth-first search over consistent cuts built on it. Its callers:
+// Slot-clock table — the successor kernel shared by every lattice search —
+// and the two breadth-first searches over consistent cuts built on it:
 //
-//   caller                     goal (popped cut)     admit (successor)  links
-//   possibly(WCP), lattice.cc  clocks.satisfies      everything         yes
-//   definitely(WCP), "         cut is the top cut    !clocks.satisfies  yes
-//   detect_possibly_general    phi over the envs     everything         no
-//   detect_gcp_lattice         locals + channels     everything         no
+//   search         caller                     goal (popped cut)     admit
+//   search_levels  possibly(WCP), lattice.cc  clocks.satisfies      everything
+//   "              detect_possibly_general    phi over the envs     everything
+//   "              detect_gcp_lattice         locals + channels     everything
+//   search_cuts    definitely(WCP), "         cut is the top cut    !satisfies
+//
+// Both pop cuts in the same FIFO order and report the same counters. The
+// admit-all searches need no table of visited cuts (search_levels decides
+// locally whether a successor is new, ALGORITHMS.md §15) and run on any
+// number of lanes; definitely's admit prunes cuts, which breaks that rule,
+// so it keeps the serial search_cuts with its visited table.
 //
 // A lattice search advances one slot s of a consistent cut C to
 // k = C[s] + 1 and asks whether the result is still consistent. Over a
@@ -35,6 +39,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -96,63 +101,62 @@ class SlotClockTable {
   std::vector<std::uint32_t> cells_;
 };
 
-/// BFS parent offset of one visited cut: the handle of its predecessor
-/// (the bottom cut references itself) plus which slot the advance took.
-/// Witness paths are rebuilt from these links on demand — the full
-/// predecessor cuts are never retained (ltsmin-style trace reconstruction).
-struct ParentLink {
-  CutHandle parent;
-  std::uint32_t slot;
-};
-
-inline constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-
-/// Walks the parent offsets from `top` back to the bottom cut and returns
-/// the advanced slot of every step, bottom first.
-template <typename LinkOf>
-std::vector<std::uint32_t> collect_path_slots(CutHandle top,
-                                              const LinkOf& link_of) {
-  std::vector<std::uint32_t> slots;
-  for (CutHandle c = top;;) {
-    const ParentLink link = link_of(c);
-    if (link.parent == c) break;
-    slots.push_back(link.slot);
-    c = link.parent;
-  }
-  std::reverse(slots.begin(), slots.end());
-  return slots;
-}
-
-/// What one breadth-first lattice search found — the serial search_cuts and
-/// the concurrent engine's replay both produce it.
+/// What one breadth-first lattice search found.
 struct CutSearchOutcome {
   bool found = false;              ///< a popped cut passed the goal test
   bool truncated = false;          ///< stopped at the max_cuts-th pop
   std::vector<StateIndex> cut;     ///< the goal cut when found
   std::int64_t cuts_explored = 0;  ///< cuts popped
   std::int64_t max_frontier = 0;   ///< peak frontier size
-  /// When found and links were kept: advanced slots from the bottom cut to
-  /// `cut` (collect_path_slots).
+  /// When found: the advanced slots from the bottom cut to `cut` along its
+  /// BFS parents.
   std::vector<std::uint32_t> path;
   CutStorageStats storage;
 };
 
+/// The goal test of an admit-all search: the popped cut, packed 32-bit
+/// components in slot order.
+using CutGoal = std::function<bool(std::span<const std::uint32_t>)>;
+
+/// The breadth-first search over every consistent cut of `clocks`' slots,
+/// from the bottom cut (all 1s: state 1 has no receives before it, so it is
+/// always consistent), one level at a time and with no table of visited
+/// cuts (ALGORITHMS.md §15). It stops at the first popped cut passing
+/// `goal` or at the max_cuts-th pop (<0: unbounded), and its result is the
+/// serial FIFO BFS's on every lane count. Wide levels are split over
+/// `lanes` threads; with lanes <= 1 `goal` runs on exactly the popped cuts,
+/// in pop order, so a goal with side effects (counters) sees what the
+/// serial BFS shows it. With more lanes it may also see cuts of the
+/// stopping level past the stop.
+///
+/// storage: cuts_interned is pops plus the queue at the stop, as a visited
+/// table would hold; peak_bytes is the high-water mark of the level
+/// buffers and heap_allocs the number of times they grew; table_probes 0.
+CutSearchOutcome search_levels(const SlotClockTable& clocks,
+                               std::int64_t max_cuts, std::size_t lanes,
+                               const CutGoal& goal);
+
 /// The serial breadth-first search over the consistent cuts of `clocks`'
-/// slots, from the bottom cut (all 1s: state 1 has no receives before it,
-/// so it is always consistent). Pops cuts in FIFO order and stops at the
+/// slots, from the bottom cut. Pops cuts in FIFO order and stops at the
 /// first popped cut passing `goal` or at the max_cuts-th pop (<0:
 /// unbounded); a consistent successor enters the visited set iff `admit`
 /// accepts it. `goal` and `admit` see the cut as a const
-/// std::vector<StateIndex>&. kLinks keeps one ParentLink per visited cut so
-/// the goal's BFS path can be returned.
+/// std::vector<StateIndex>&. One ParentLink per visited cut rebuilds the
+/// goal's BFS path.
 ///
 /// Every visited cut lives exactly once in a CutArena, and cuts enter it in
 /// exactly the order a FIFO queue would pop them, so the frontier is the
 /// arena suffix [head, size) and needs no queue of its own.
-template <bool kLinks, typename Goal, typename Admit>
+template <typename Goal, typename Admit>
 CutSearchOutcome search_cuts(const SlotClockTable& clocks,
                              std::int64_t max_cuts, Goal&& goal,
                              Admit&& admit) {
+  /// BFS parent offset of one visited cut: the handle of its predecessor
+  /// (the bottom cut references itself) plus which slot the advance took.
+  struct ParentLink {
+    CutHandle parent;
+    std::uint32_t slot;
+  };
   const std::size_t w = clocks.width();
   CutSearchOutcome out;
   CutArena arena(w);
@@ -163,7 +167,7 @@ CutSearchOutcome search_cuts(const SlotClockTable& clocks,
   // done in place and undone after the intern.
   std::vector<StateIndex> scratch(w, 1);
   visited.intern(arena, scratch, hasher(scratch));
-  if constexpr (kLinks) links.push_back({0, kNoSlot});
+  links.push_back({0, 0});
 
   for (std::size_t head = 0; head < arena.size(); ++head) {
     out.max_frontier = std::max(
@@ -173,9 +177,10 @@ CutSearchOutcome search_cuts(const SlotClockTable& clocks,
     if (goal(std::as_const(scratch))) {
       out.found = true;
       out.cut = scratch;
-      if constexpr (kLinks)
-        out.path = collect_path_slots(static_cast<CutHandle>(head),
-                                      [&](CutHandle c) { return links[c]; });
+      for (auto c = static_cast<CutHandle>(head); c != 0;
+           c = links[c].parent)
+        out.path.push_back(links[c].slot);
+      std::reverse(out.path.begin(), out.path.end());
       break;
     }
     if (max_cuts >= 0 && out.cuts_explored >= max_cuts) {
@@ -188,11 +193,9 @@ CutSearchOutcome search_cuts(const SlotClockTable& clocks,
         continue;
       scratch[s] += 1;
       if (admit(std::as_const(scratch)) &&
-          visited.intern(arena, scratch, hasher(scratch)).inserted) {
-        if constexpr (kLinks)
-          links.push_back(
-              {static_cast<CutHandle>(head), static_cast<std::uint32_t>(s)});
-      }
+          visited.intern(arena, scratch, hasher(scratch)).inserted)
+        links.push_back(
+            {static_cast<CutHandle>(head), static_cast<std::uint32_t>(s)});
       scratch[s] -= 1;
     }
   }

@@ -6,6 +6,12 @@
 
 namespace wcp::slice {
 
+StreamInput::StreamInput(const app::StateStream& stream) : stream_(stream) {
+  for (std::size_t s = 0; s < stream_.slots(); ++s)
+    WCP_REQUIRE(stream_.base(s) == 1,
+                "slice input over a stream that retired state on slot " << s);
+}
+
 SlicerCore::SlicerCore(const app::StateStream& stream, app::CoreHooks hooks)
     : stream_(stream), hooks_(std::move(hooks)) {
   WCP_REQUIRE(stream_.slots() >= 1, "empty predicate");

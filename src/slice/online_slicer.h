@@ -24,37 +24,36 @@
 #include <cstdint>
 #include <vector>
 
-#include "app/snapshot.h"
 #include "app/state_stream.h"
 #include "slice/slice.h"
 
 namespace wcp::slice {
 
-/// SliceInput over streamed per-slot snapshot arrays (n-width Fig. 2
+/// SliceInput over the positions a StateStream holds (n-width Fig. 2
 /// clocks). Component t of a snapshot's clock is the highest state of slot
 /// t that happened before it — the same causal_floor contract the
-/// ground-truth oracle answers.
-class SnapshotInput final : public SliceInput {
+/// ground-truth oracle answers. Position k is state k, so the stream must
+/// be an all-states stream that has retired nothing (base 1 on every slot).
+class StreamInput final : public SliceInput {
  public:
-  explicit SnapshotInput(const std::vector<std::vector<app::VcSnapshot>>& s)
-      : states_(s) {}
+  explicit StreamInput(const app::StateStream& stream);
 
   [[nodiscard]] std::size_t num_slots() const override {
-    return states_.size();
+    return stream_.slots();
   }
   [[nodiscard]] StateIndex num_states(std::size_t slot) const override {
-    return static_cast<StateIndex>(states_[slot].size());
+    return stream_.last(slot);
   }
   [[nodiscard]] bool pred(std::size_t slot, StateIndex k) const override {
-    return states_[slot][static_cast<std::size_t>(k - 1)].pred;
+    return stream_.pred(slot, k);
   }
   [[nodiscard]] StateIndex causal_floor(std::size_t s, StateIndex k,
                                         std::size_t t) const override {
-    return states_[s][static_cast<std::size_t>(k - 1)].vclock[t];
+    return stream_.clock(s, k, t);
   }
 
  private:
-  const std::vector<std::vector<app::VcSnapshot>>& states_;
+  const app::StateStream& stream_;
 };
 
 /// The incremental candidate fixpoint over a StateStream. Maintains the

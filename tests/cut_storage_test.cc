@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/cut_hash.h"
-#include "common/rng.h"
 
 namespace wcp {
 namespace {
@@ -41,48 +40,6 @@ TEST(CutArena, HandlesStayValidAcrossGrowth) {
   for (StateIndex i = 0; i < 500; ++i)
     EXPECT_EQ(a.materialize(handles[static_cast<std::size_t>(i)]),
               (Cut{i, i + 1, i + 2, i + 3}));
-}
-
-TEST(CutArena, ClearKeepsCapacityAndPeak) {
-  CutArena a(2);
-  for (StateIndex i = 0; i < 100; ++i) a.push(Cut{i, i});
-  const std::int64_t peak = a.peak_bytes();
-  const std::int64_t growths = a.growths();
-  ASSERT_GT(peak, 0);
-  a.clear();
-  EXPECT_EQ(a.size(), 0u);
-  EXPECT_EQ(a.bytes_in_use(), 0);
-  EXPECT_EQ(a.peak_bytes(), peak);
-  // Refilling to the same size must not reallocate.
-  for (StateIndex i = 0; i < 100; ++i) a.push(Cut{i, i});
-  EXPECT_EQ(a.growths(), growths);
-  EXPECT_EQ(a.peak_bytes(), peak);
-}
-
-TEST(CutArena, ResizeZeroFillsAndSlotsAreWritable) {
-  CutArena a(3);
-  a.resize(4);
-  EXPECT_EQ(a.size(), 4u);
-  for (CutHandle h = 0; h < 4; ++h)
-    for (const std::uint32_t v : a.get(h)) EXPECT_EQ(v, 0u);
-  auto s = a.slot(2);
-  s[0] = 7;
-  s[1] = 8;
-  s[2] = 9;
-  EXPECT_EQ(a.materialize(2), (Cut{7, 8, 9}));
-  // Repeated resize reuses the buffer.
-  const std::int64_t growths = a.growths();
-  a.resize(2);
-  a.resize(4);
-  EXPECT_EQ(a.growths(), growths);
-}
-
-TEST(CutArena, PushPackedMatchesPush) {
-  CutArena a(2), b(2);
-  const Cut c{123456, 789};
-  a.push(c);
-  b.push_packed(a.get(0));
-  EXPECT_EQ(b.materialize(0), c);
 }
 
 TEST(CutArena, CopyToReusesBuffer) {
@@ -179,150 +136,16 @@ TEST(CutTable, ProbeCounterAdvances) {
   EXPECT_GT(s.peak_bytes, 0);
 }
 
-// ---- hash/shard agreement ---------------------------------------------------
+// ---- hash overload agreement ------------------------------------------------
 //
-// The parallel detectors partition cuts across shards by CutHash value, once
-// over the logical int64 components and once over the packed 32-bit arena
-// representation. The two must agree, or the flat rewrite would change the
-// shard assignment (and with it the deterministic dedup order).
+// CutTable callers hash a std::vector<StateIndex> or a span over one; both
+// overloads must give the value the table stored for the same cut.
 
-// ---- incremental Zobrist hashing --------------------------------------------
-//
-// The concurrent engine maintains each cut's hash incrementally: advancing
-// one slot XORs out the old component key and XORs in the new one. The
-// invariant the engine lives on is that this incrementally-maintained value
-// equals the from-scratch hash of the current cut after ANY walk — the
-// property test below drives 10k randomized advance/undo steps and checks
-// the agreement at every single step.
-
-TEST(ZobristCutHash, IncrementalAdvanceMatchesFromScratch) {
-  const ZobristCutHash z;
-  Rng rng(0xc0ffee);
-  for (const std::size_t n : {1u, 3u, 8u}) {
-    std::vector<std::uint32_t> cut(n, 1);
-    std::uint64_t h = z(std::span<const std::uint32_t>(cut));
-    for (int step = 0; step < 10'000; ++step) {
-      const std::size_t s = rng.index(n);
-      const std::uint32_t from = cut[s];
-      // Random walk over component values; undo (to - 1 < from) is the
-      // same advance() call with the roles swapped, exercising the
-      // self-inverse property on the same trajectory.
-      const std::uint32_t to =
-          (from > 1 && rng.bernoulli(0.4)) ? from - 1 : from + 1;
-      h = ZobristCutHash::advance(h, s, from, to);
-      cut[s] = to;
-      ASSERT_EQ(h, z(std::span<const std::uint32_t>(cut)))
-          << "n=" << n << " step=" << step;
-    }
-  }
-}
-
-TEST(ZobristCutHash, AdvanceIsSelfInverse) {
-  const ZobristCutHash z;
-  const std::vector<std::uint32_t> cut{5, 9, 2, 14};
-  const std::uint64_t h = z(std::span<const std::uint32_t>(cut));
-  const std::uint64_t fwd = ZobristCutHash::advance(h, 2, 2, 3);
-  EXPECT_NE(fwd, h);
-  EXPECT_EQ(ZobristCutHash::advance(fwd, 2, 3, 2), h);
-}
-
-TEST(ZobristCutHash, AgreesAcrossComponentRepresentations) {
-  const ZobristCutHash z;
-  const std::vector<StateIndex> logical{7, 1, 300};
-  CutArena a(3);
-  const CutHandle hd = a.push(logical);
-  EXPECT_EQ(z(std::span<const StateIndex>(logical)), z(a.get(hd)));
-}
-
-// ---- SegmentedCutStore ------------------------------------------------------
-
-TEST(SegmentedCutStore, StagePublishRoundtrip) {
-  SegmentedCutStore store(3, 2);
-  const ZobristCutHash z;
-  const std::vector<std::uint32_t> c0{1, 2, 3};
-  const std::vector<std::uint32_t> c1{4, 1, 1};
-  const CutHandle h0 = store.stage(0, c0, z(std::span<const std::uint32_t>(c0)),
-                                   /*level=*/3, /*false_count=*/0);
-  store.publish(0);
-  const CutHandle h1 = store.stage(1, c1, z(std::span<const std::uint32_t>(c1)),
-                                   /*level=*/3, /*false_count=*/2);
-  store.publish(1);
-  EXPECT_NE(h0, h1);  // distinct lanes, distinct handle spaces
-  EXPECT_TRUE(std::equal(c0.begin(), c0.end(), store.cut(h0).begin()));
-  EXPECT_TRUE(std::equal(c1.begin(), c1.end(), store.cut(h1).begin()));
-  EXPECT_EQ(store.level(h0), 3u);
-  EXPECT_EQ(store.false_count(h1), 2);
-  EXPECT_TRUE(store.satisfying(h0));
-  EXPECT_FALSE(store.satisfying(h1));
-  EXPECT_EQ(store.lane_count(0), 1u);
-  EXPECT_EQ(store.lane_count(1), 1u);
-  EXPECT_EQ(store.total_cuts(), 2u);
-  EXPECT_EQ(store.materialize(h0), (Cut{1, 2, 3}));
-}
-
-TEST(SegmentedCutStore, UnpublishedStageIsOverwrittenByNextStage) {
-  SegmentedCutStore store(2, 1);
-  const std::vector<std::uint32_t> lost{9, 9};
-  const std::vector<std::uint32_t> won{5, 6};
-  const CutHandle hl = store.stage(0, lost, 111, 16, 1);
-  store.unstage(0);  // CAS lost: same local index is reused
-  const CutHandle hw = store.stage(0, won, 222, 9, 0);
-  store.publish(0);
-  EXPECT_EQ(hl, hw);
-  EXPECT_TRUE(std::equal(won.begin(), won.end(), store.cut(hw).begin()));
-  EXPECT_EQ(store.hash(hw), 222u);
-  EXPECT_EQ(store.total_cuts(), 1u);
-}
-
-TEST(SegmentedCutStore, HandlesStableAcrossBlockGrowth) {
-  // Push past several geometric block boundaries on one lane; every
-  // previously returned handle must still read back its own cut (blocks
-  // never move).
-  SegmentedCutStore store(2, 1);
-  constexpr std::uint32_t kCount = 5000;  // spans blocks of 512/1024/2048/...
-  std::vector<CutHandle> handles;
-  for (std::uint32_t i = 0; i < kCount; ++i) {
-    const std::vector<std::uint32_t> c{i, i ^ 0x55u};
-    handles.push_back(store.stage(0, c, i, i, 0));
-    store.publish(0);
-  }
-  EXPECT_EQ(store.total_cuts(), kCount);
-  for (std::uint32_t i = 0; i < kCount; ++i) {
-    const auto got = store.cut(handles[i]);
-    EXPECT_EQ(got[0], i);
-    EXPECT_EQ(got[1], i ^ 0x55u);
-    EXPECT_EQ(store.hash(handles[i]), i);
-  }
-}
-
-TEST(SegmentedCutStore, SuccessorArrayAndExpandedFlag) {
-  SegmentedCutStore store(2, 1);
-  const std::vector<std::uint32_t> c{1, 1};
-  const CutHandle h = store.stage(0, c, 7, 0, 1);
-  store.publish(0);
-  EXPECT_FALSE(store.expanded(h));
-  auto succ = store.succ(h);
-  ASSERT_EQ(succ.size(), 2u);
-  succ[0] = 42;
-  succ[1] = kNoCut;
-  store.mark_expanded(h);
-  EXPECT_TRUE(store.expanded(h));
-  const auto& cstore = store;
-  EXPECT_EQ(cstore.succ(h)[0], 42u);
-  EXPECT_EQ(cstore.succ(h)[1], kNoCut);
-}
-
-TEST(CutHashAgreement, SpanVectorAndPackedAgree) {
+TEST(CutHashAgreement, SpanAndVectorAgree) {
   const CutHash h;
-  CutArena a(4);
   for (StateIndex i = 0; i < 200; ++i) {
     const Cut c{i, i * 31 % 97, i * i % 1000, 4'000'000'000LL % (i + 1)};
-    const std::size_t logical = h(c);
-    EXPECT_EQ(h(std::span<const StateIndex>(c)), logical);
-    const CutHandle hd = a.push(c);
-    EXPECT_EQ(h(a.get(hd)), logical);
-    for (const std::size_t shards : {2u, 3u, 8u})
-      EXPECT_EQ(h(a.get(hd)) % shards, logical % shards);
+    EXPECT_EQ(h(std::span<const StateIndex>(c)), h(c));
   }
 }
 

@@ -1,8 +1,9 @@
-// Randomized equivalence suite for the flat cut-storage rewrite: the
-// detectors rebuilt on CutArena/CutTable must be observably identical to
-// the pre-flat representation. The reference implementations below are the
-// old std::queue + std::unordered_set<std::vector<StateIndex>> code paths,
-// kept verbatim as test-only oracles.
+// Randomized equivalence suite for the flat cut storage and the table-free
+// lattice search: the detectors must be observably identical to the
+// pre-flat representation. The reference implementations (below and in
+// ref_lattice.h) are the old std::queue +
+// std::unordered_set<std::vector<StateIndex>> code paths, kept as
+// test-only oracles.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +11,6 @@
 #include <optional>
 #include <queue>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/cut_hash.h"
@@ -20,6 +20,7 @@
 #include "detect/relational.h"
 #include "detect/sliced.h"
 #include "predicate/program.h"
+#include "ref_lattice.h"
 #include "slice/slice.h"
 #include "workload/random_workload.h"
 
@@ -29,65 +30,6 @@ namespace {
 using Cut = std::vector<StateIndex>;
 
 // ---- reference implementations (pre-flat-storage code) ----------------------
-
-struct RefLatticeResult {
-  bool detected = false;
-  bool truncated = false;
-  Cut cut;
-  std::int64_t cuts_explored = 0;
-  std::int64_t max_frontier = 0;
-};
-
-RefLatticeResult ref_detect_lattice(const Computation& comp,
-                                    std::int64_t max_cuts) {
-  const auto procs = comp.predicate_processes();
-  const std::size_t n = procs.size();
-  RefLatticeResult res;
-
-  auto satisfies = [&](const Cut& cut) {
-    for (std::size_t s = 0; s < n; ++s)
-      if (!comp.local_pred(procs[s], cut[s])) return false;
-    return true;
-  };
-
-  Cut initial(n, 1);
-  std::queue<Cut> frontier;
-  std::unordered_set<Cut, CutHash> visited;
-  frontier.push(initial);
-  visited.insert(initial);
-
-  while (!frontier.empty()) {
-    res.max_frontier = std::max(
-        res.max_frontier, static_cast<std::int64_t>(frontier.size()));
-    Cut cut = std::move(frontier.front());
-    frontier.pop();
-    ++res.cuts_explored;
-    if (satisfies(cut)) {
-      res.detected = true;
-      res.cut = std::move(cut);
-      return res;
-    }
-    if (max_cuts >= 0 && res.cuts_explored >= max_cuts) {
-      res.truncated = true;
-      return res;
-    }
-    for (std::size_t s = 0; s < n; ++s) {
-      if (cut[s] + 1 > comp.num_states(procs[s])) continue;
-      Cut next = cut;
-      next[s] += 1;
-      bool consistent = true;
-      for (std::size_t t = 0; t < n && consistent; ++t) {
-        if (t == s) continue;
-        if (comp.happened_before(procs[s], next[s], procs[t], next[t]) ||
-            comp.happened_before(procs[t], next[t], procs[s], next[s]))
-          consistent = false;
-      }
-      if (consistent && visited.insert(next).second)
-        frontier.push(std::move(next));
-    }
-  }
-  return res;
-}
 
 struct RefDefinitelyResult {
   bool definitely = false;
@@ -228,17 +170,15 @@ TEST(FlatStorageEquiv, LatticeMatchesReferenceUnderTruncation) {
   }
 }
 
-TEST(FlatStorageEquiv, DefinitelyMatchesReferenceAcrossThreads) {
+TEST(FlatStorageEquiv, DefinitelyMatchesReference) {
   for (std::uint64_t seed = 0; seed < 15; ++seed) {
     const auto comp = random_comp(seed, 4, 3, 10, /*prob=*/0.4);
     const auto ref = ref_detect_definitely(comp, -1);
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      const auto r = detect_definitely(comp, -1, threads);
-      EXPECT_EQ(r.definitely, ref.definitely) << "seed " << seed;
-      EXPECT_EQ(r.cuts_explored, ref.cuts_explored) << "seed " << seed;
-      EXPECT_EQ(r.truncated, ref.truncated) << "seed " << seed;
-      EXPECT_EQ(r.witness, ref.witness) << "seed " << seed;
-    }
+    const auto r = detect_definitely(comp, -1);
+    EXPECT_EQ(r.definitely, ref.definitely) << "seed " << seed;
+    EXPECT_EQ(r.cuts_explored, ref.cuts_explored) << "seed " << seed;
+    EXPECT_EQ(r.truncated, ref.truncated) << "seed " << seed;
+    EXPECT_EQ(r.witness, ref.witness) << "seed " << seed;
   }
 }
 
@@ -353,16 +293,15 @@ TEST(FlatStorageEquiv, SliceEnumerationMatchesBruteForceSatisfyingCuts) {
   }
 }
 
-// ---- concurrent-engine differential oracle ----------------------------------
+// ---- thread-count differential oracle -------------------------------------
 //
-// The barrier-free engine (ALGORITHMS.md §15) promises byte-identical
-// observable output at every thread count: the concurrent phase may visit
-// cuts in any order, but the serial replay reproduces the reference BFS
-// exactly. The sweep below drives lattice / definitely / sliced over 32
-// randomized traces — including truncation caps and witness-producing
-// traces — at threads 1/2/4/8 and byte-diffs the full JSON run reports
-// (which exclude the storage block, the one legitimately thread-variant
-// field) against the serial rows.
+// The lattice search (ALGORITHMS.md §15) promises byte-identical
+// observable output at every thread count: however a level is split over
+// lanes, the next level is the serial BFS queue in its order. The sweep
+// below drives lattice / definitely / sliced over 32 randomized traces —
+// including truncation caps and witness-producing traces — at threads
+// 1/2/4/8 and byte-diffs the full JSON run reports against the serial
+// rows.
 
 TEST(FlatStorageEquiv, DifferentialOracleSweepByteIdenticalReports) {
   struct TraceSpec {
@@ -437,11 +376,12 @@ TEST(FlatStorageEquiv, DifferentialOracleSweepByteIdenticalReports) {
 
 TEST(FlatStorageEquiv, WitnessPathsByteIdenticalAcrossThreads) {
   // witness_path is not part of the sweep report; compare the full result
-  // structs directly (everything except the storage block).
+  // structs directly.
   for (std::uint64_t seed = 50; seed < 62; ++seed) {
     const auto comp = random_comp(seed, 4, 4, 10, /*prob=*/0.3);
     const auto bl = detect_lattice(comp, -1, 1);
-    const auto bd = detect_definitely(comp, -1, 1);
+    const auto ref = ref_detect_lattice(comp, -1);
+    EXPECT_EQ(bl.witness_path, ref.witness_path) << seed;
     for (const std::size_t threads : {2u, 4u, 8u}) {
       const auto l = detect_lattice(comp, -1, threads);
       EXPECT_EQ(l.detected, bl.detected) << seed << "/" << threads;
@@ -450,12 +390,10 @@ TEST(FlatStorageEquiv, WitnessPathsByteIdenticalAcrossThreads) {
       EXPECT_EQ(l.cuts_explored, bl.cuts_explored) << seed << "/" << threads;
       EXPECT_EQ(l.max_frontier, bl.max_frontier) << seed << "/" << threads;
       EXPECT_EQ(l.witness_path, bl.witness_path) << seed << "/" << threads;
-      const auto d = detect_definitely(comp, -1, threads);
-      EXPECT_EQ(d.definitely, bd.definitely) << seed << "/" << threads;
-      EXPECT_EQ(d.truncated, bd.truncated) << seed << "/" << threads;
-      EXPECT_EQ(d.cuts_explored, bd.cuts_explored) << seed << "/" << threads;
-      EXPECT_EQ(d.witness, bd.witness) << seed << "/" << threads;
-      EXPECT_EQ(d.witness_path, bd.witness_path) << seed << "/" << threads;
+      EXPECT_EQ(l.storage.cuts_interned, bl.storage.cuts_interned)
+          << seed << "/" << threads;
+      EXPECT_EQ(l.storage.peak_bytes, bl.storage.peak_bytes)
+          << seed << "/" << threads;
     }
   }
 }
@@ -466,7 +404,8 @@ TEST(FlatStorageEquiv, StorageStatsArePopulated) {
     const auto r = detect_lattice(comp, -1, threads);
     EXPECT_GT(r.storage.peak_bytes, 0) << "threads " << threads;
     EXPECT_GT(r.storage.cuts_interned, 0) << "threads " << threads;
-    EXPECT_GT(r.storage.table_probes, 0) << "threads " << threads;
+    // The search keeps no table of visited cuts, so it never probes one.
+    EXPECT_EQ(r.storage.table_probes, 0) << "threads " << threads;
   }
   // Serial interned count == distinct cuts == visited-set size, which for a
   // completed exploration equals cuts explored.

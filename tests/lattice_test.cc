@@ -174,26 +174,6 @@ TEST(Lattice, ParallelMatchesSerialUnderTruncation) {
   }
 }
 
-TEST(Lattice, DefinitelyParallelMatchesSerialOnRandomSweep) {
-  for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    workload::RandomSpec spec;
-    spec.num_processes = 4;
-    spec.num_predicate = 3;
-    spec.events_per_process = 10;
-    spec.local_pred_prob = 0.4;
-    spec.seed = seed;
-    const auto comp = workload::make_random(spec);
-    const auto serial = detect_definitely(comp, /*max_cuts=*/-1, /*threads=*/1);
-    for (std::size_t threads : {2u, 8u}) {
-      const auto par = detect_definitely(comp, /*max_cuts=*/-1, threads);
-      EXPECT_EQ(par.definitely, serial.definitely) << "seed " << seed;
-      EXPECT_EQ(par.cuts_explored, serial.cuts_explored) << "seed " << seed;
-      EXPECT_EQ(par.truncated, serial.truncated) << "seed " << seed;
-      EXPECT_EQ(par.witness, serial.witness) << "seed " << seed;
-    }
-  }
-}
-
 // ---- successor kernel ---------------------------------------------------
 //
 // Differential test of the one-direction slot-clock check (slot_clocks.h)

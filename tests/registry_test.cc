@@ -32,7 +32,7 @@ TEST(Registry, EveryEntryAnswersItsModalityOnCommittedTraces) {
   for (std::size_t i = 0; i < traces.size(); ++i) {
     const Computation& comp = traces[i];
     const auto oracle = comp.first_wcp_cut();
-    const DefinitelyResult def = detect_definitely(comp, -1, 1);
+    const DefinitelyResult def = detect_definitely(comp, -1);
     for (const Detector& d : detectors()) {
       DetectParams p;
       p.threads = 2;

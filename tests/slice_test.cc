@@ -6,9 +6,12 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
+#include "app/state_stream.h"
 #include "slice/jil.h"
+#include "slice/online_slicer.h"
 #include "slice/slice.h"
 #include "workload/random_workload.h"
 
@@ -318,6 +321,58 @@ TEST(Slice, ParallelBuildOfEmptySlice) {
     const Slice sl = Slice::build(comp, nullptr, threads);
     EXPECT_TRUE(sl.empty());
     EXPECT_EQ(sl.num_groups(), 0);
+  }
+}
+
+/// An all-states stream over comp's predicate slots, as the coordinator
+/// host receives it: position k on slot s is state k, and its clock holds
+/// the predicate-slot components of (procs[s], k). `base` is every slot's
+/// retention floor.
+class ComputationStream final : public app::StateStream {
+ public:
+  ComputationStream(const Computation& comp, StateIndex base)
+      : comp_(comp), procs_(comp.predicate_processes().begin(),
+                            comp.predicate_processes().end()),
+        base_(base) {}
+  [[nodiscard]] std::size_t slots() const override { return procs_.size(); }
+  [[nodiscard]] StateIndex last(std::size_t s) const override {
+    return comp_.num_states(procs_[s]);
+  }
+  [[nodiscard]] StateIndex base(std::size_t) const override { return base_; }
+  [[nodiscard]] bool eos(std::size_t) const override { return true; }
+  [[nodiscard]] StateIndex clock(std::size_t s, StateIndex pos,
+                                 std::size_t t) const override {
+    return comp_.clock_component(procs_[s], pos, procs_[t]);
+  }
+  [[nodiscard]] bool pred(std::size_t s, StateIndex pos) const override {
+    return comp_.local_pred(procs_[s], pos);
+  }
+
+ private:
+  const Computation& comp_;
+  std::vector<ProcessId> procs_;
+  StateIndex base_;
+};
+
+TEST(Slice, StreamInputSlicesLikeTheComputation) {
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    workload::RandomSpec spec;
+    spec.num_processes = 5;
+    spec.num_predicate = 3;
+    spec.events_per_process = 8;
+    spec.local_pred_prob = 0.5;
+    spec.seed = seed;
+    const auto comp = workload::make_random(spec);
+    const ComputationStream stream(comp, 1);
+    const auto streamed = Slice::build(StreamInput(stream));
+    const auto direct = Slice::build(comp);
+    EXPECT_EQ(streamed.num_groups(), direct.num_groups()) << seed;
+    EXPECT_EQ(streamed.num_edges(), direct.num_edges()) << seed;
+    EXPECT_EQ(streamed.bottom(), direct.bottom()) << seed;
+    EXPECT_EQ(streamed.top(), direct.top()) << seed;
+    // Positions are state indices only while nothing was retired.
+    const ComputationStream collected(comp, 2);
+    EXPECT_THROW(StreamInput{collected}, std::invalid_argument);
   }
 }
 

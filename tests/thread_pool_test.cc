@@ -121,67 +121,5 @@ TEST(ThreadPool, SubmittedTasksDrainOnDestruction) {
   EXPECT_EQ(done.load(), 64);
 }
 
-TEST(WorkFrontier, ProcessesEveryItemExactlyOnceAcrossLanes) {
-  // Items form a complete binary tree rooted at 1: processing v pushes
-  // {2v, 2v+1} while 2v+1 <= kMax. Every item must be processed exactly
-  // once regardless of which lane pops or steals it.
-  constexpr std::uint32_t kMax = 4095;  // 4095 items: 1..kMax
-  for (std::size_t lanes : {1u, 2u, 4u, 8u}) {
-    WorkFrontier frontier(lanes);
-    std::vector<std::atomic<int>> hits(kMax + 1);
-    frontier.seed(1);
-    ThreadPool pool(lanes);
-    pool.parallel_for(
-        frontier.lanes(),
-        [&](std::size_t b, std::size_t e) {
-          for (std::size_t lane = b; lane < e; ++lane) {
-            frontier.run_lane(lane, [&, lane](std::uint32_t v) {
-              ++hits[v];
-              const std::uint32_t kids[2] = {2 * v, 2 * v + 1};
-              if (kids[1] <= kMax) frontier.push_batch(lane, kids);
-            });
-          }
-        },
-        /*grain=*/1);
-    for (std::uint32_t v = 1; v <= kMax; ++v)
-      ASSERT_EQ(hits[v].load(), 1) << "item " << v << " lanes " << lanes;
-  }
-}
-
-TEST(WorkFrontier, QuiesceRunsExclusivelyAndResumes) {
-  constexpr std::uint32_t kMax = 2047;
-  const std::size_t lanes = 4;
-  WorkFrontier frontier(lanes);
-  std::atomic<int> processed{0};
-  std::atomic<int> rounds{0};
-  std::atomic<bool> in_round{false};
-  frontier.seed(1);
-  ThreadPool pool(lanes);
-  pool.parallel_for(
-      frontier.lanes(),
-      [&](std::size_t b, std::size_t e) {
-        for (std::size_t lane = b; lane < e; ++lane) {
-          frontier.run_lane(lane, [&, lane](std::uint32_t v) {
-            ++processed;
-            if (v % 97 == 0) {
-              frontier.quiesce([&] {
-                // Total exclusivity: no two rounds may overlap.
-                ASSERT_FALSE(in_round.exchange(true));
-                ++rounds;
-                in_round.store(false);
-              });
-            }
-            const std::uint32_t kids[2] = {2 * v, 2 * v + 1};
-            if (kids[1] <= kMax) frontier.push_batch(lane, kids);
-          });
-        }
-      },
-      /*grain=*/1);
-  EXPECT_EQ(processed.load(), static_cast<int>(kMax));
-  // Rounds coalesce, so the count is only bounded, not exact.
-  EXPECT_GE(rounds.load(), 1);
-  EXPECT_FALSE(in_round.load());
-}
-
 }  // namespace
 }  // namespace wcp::common

@@ -129,7 +129,6 @@ TEST(TraceFuzz, VerdictsAndWitnessesAreThreadInvariant) {
     SCOPED_TRACE("seed " + std::to_string(spec.seed));
 
     const auto l1 = detect::detect_lattice(c, kCutCap, 1);
-    const auto d1 = detect::detect_definitely(c, kCutCap, 1);
     for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
       const auto lt = detect::detect_lattice(c, kCutCap, threads);
       ASSERT_EQ(lt.detected, l1.detected);
@@ -138,10 +137,6 @@ TEST(TraceFuzz, VerdictsAndWitnessesAreThreadInvariant) {
       ASSERT_EQ(lt.witness_path, l1.witness_path) << threads << " threads";
       ASSERT_EQ(lt.trace_store.peak_bytes, l1.trace_store.peak_bytes);
       ASSERT_EQ(lt.trace_store.delta_entries, l1.trace_store.delta_entries);
-      const auto dt = detect::detect_definitely(c, kCutCap, threads);
-      ASSERT_EQ(dt.definitely, d1.definitely);
-      ASSERT_EQ(dt.witness, d1.witness);
-      ASSERT_EQ(dt.witness_path, d1.witness_path) << threads << " threads";
     }
   }
 }
@@ -173,7 +168,7 @@ TEST(TraceFuzz, MappedLoaderMatchesHeapLoaderAtAllThreadCounts) {
     expect_same_clocks(original, fast);
 
     const auto l1 = detect::detect_lattice(original, kCutCap, 1);
-    const auto d1 = detect::detect_definitely(original, kCutCap, 1);
+    const auto d1 = detect::detect_definitely(original, kCutCap);
     for (const Computation* c : {&verified, &fast}) {
       for (const std::size_t threads :
            {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
@@ -182,11 +177,11 @@ TEST(TraceFuzz, MappedLoaderMatchesHeapLoaderAtAllThreadCounts) {
         ASSERT_EQ(lt.cut, l1.cut);
         ASSERT_EQ(lt.cuts_explored, l1.cuts_explored);
         ASSERT_EQ(lt.witness_path, l1.witness_path);
-        const auto dt = detect::detect_definitely(*c, kCutCap, threads);
-        ASSERT_EQ(dt.definitely, d1.definitely) << threads << " threads";
-        ASSERT_EQ(dt.witness, d1.witness);
-        ASSERT_EQ(dt.witness_path, d1.witness_path);
       }
+      const auto dt = detect::detect_definitely(*c, kCutCap);
+      ASSERT_EQ(dt.definitely, d1.definitely);
+      ASSERT_EQ(dt.witness, d1.witness);
+      ASSERT_EQ(dt.witness_path, d1.witness_path);
     }
   }
   std::remove(path.c_str());
