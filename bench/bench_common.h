@@ -96,6 +96,21 @@ inline const Computation& cached_worstcase(std::size_t clients,
   return it->second;
 }
 
+/// The lattice blowup workload of E10, E15 and E20: n processes with NO
+/// cross-causality (every send stays undelivered), `states` states each and
+/// the predicate true only in the last states, so a lattice search must
+/// visit all states^n consistent cuts.
+inline Computation independent_workload(std::size_t n, std::int64_t states) {
+  ComputationBuilder b(n);
+  for (std::size_t p = 0; p < n; ++p)
+    for (std::int64_t k = 1; k < states; ++k)
+      b.send(ProcessId(static_cast<int>(p)),
+             ProcessId(static_cast<int>((p + 1) % n)));  // never delivered
+  for (std::size_t p = 0; p < n; ++p)
+    b.mark_pred(ProcessId(static_cast<int>(p)), true);
+  return b.build();
+}
+
 inline detect::RunOptions default_opts(std::uint64_t seed = 1) {
   detect::RunOptions o;
   o.seed = seed;

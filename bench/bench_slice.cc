@@ -29,17 +29,6 @@
 namespace wcp::bench {
 namespace {
 
-Computation independent_workload(std::size_t n, std::int64_t states) {
-  ComputationBuilder b(n);
-  for (std::size_t p = 0; p < n; ++p)
-    for (std::int64_t k = 1; k < states; ++k)
-      b.send(ProcessId(static_cast<int>(p)),
-             ProcessId(static_cast<int>((p + 1) % n)));  // never delivered
-  for (std::size_t p = 0; p < n; ++p)
-    b.mark_pred(ProcessId(static_cast<int>(p)), true);
-  return b.build();
-}
-
 void BM_Slice_Blowup(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::int64_t states = state.range(1);

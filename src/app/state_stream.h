@@ -25,8 +25,15 @@
 //     the stream (the global-min frontier GC of the serve layer). collect()
 //     tells the core to drop its own internal state below a floor.
 //
-// The simulator host implements StateStream over the snapshot vectors it
-// keeps (app/snapshot_stream.h; base forever 1 — simulator runs never GC).
+// StateStream is implemented by the simulator host itself, over the
+// snapshot vectors it keeps (detect::CoreHost; base forever 1 — simulator
+// runs never GC); by the serve layer's shared buffer and its
+// per-subscription views (serve::StreamBuffer, serve::SubscriptionView);
+// and by app::ComputationStateStream (app/computation_stream.h), which
+// reads a recorded trace for the offline Fig. 3 driver and the slicer.
+// StateStream is also the one input of computation slicing: the JIL
+// fixpoint and Slice::build (slice/jil.h, slice/slice.h) read any stream
+// that has retired nothing.
 #pragma once
 
 #include <cstdint>

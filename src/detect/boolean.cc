@@ -1,44 +1,8 @@
 #include "detect/boolean.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 
 namespace wcp::detect {
-
-namespace {
-
-// Advance-candidate first-cut search restricted to the given processes and
-// admissible-state lists (same strategy as Computation::first_wcp_cut).
-std::optional<std::vector<StateIndex>> first_cut(
-    const Computation& comp, std::span<const ProcessId> procs,
-    const std::vector<std::vector<StateIndex>>& cand) {
-  const std::size_t w = procs.size();
-  std::vector<std::size_t> pos(w, 0);
-  for (std::size_t s = 0; s < w; ++s)
-    if (cand[s].empty()) return std::nullopt;
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t s = 0; s < w && !changed; ++s) {
-      for (std::size_t t = 0; t < w; ++t) {
-        if (s == t) continue;
-        if (comp.happened_before(procs[s], cand[s][pos[s]], procs[t],
-                                 cand[t][pos[t]])) {
-          if (++pos[s] >= cand[s].size()) return std::nullopt;
-          changed = true;
-          break;
-        }
-      }
-    }
-  }
-  std::vector<StateIndex> cut(w);
-  for (std::size_t s = 0; s < w; ++s) cut[s] = cand[s][pos[s]];
-  return cut;
-}
-
-}  // namespace
 
 DnfResult detect_dnf(const Computation& comp,
                      std::span<const Conjunct> disjuncts) {
@@ -68,7 +32,7 @@ DnfResult detect_dnf(const Computation& comp,
       cand.push_back(std::move(states));
     }
 
-    const auto cut = first_cut(comp, procs, cand);
+    const auto cut = comp.first_cut(procs, cand);
     res.satisfiable[d] = cut.has_value();
     if (cut && !res.detected) {
       res.detected = true;

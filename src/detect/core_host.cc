@@ -12,8 +12,7 @@ CoreHost::CoreHost(const Computation& comp, bool all_states, bool ends_on_eos,
       all_states_(all_states),
       ends_on_eos_(ends_on_eos),
       states_(comp.predicate_processes().size()),
-      eos_(states_.size(), false),
-      stream_(states_, eos_) {
+      eos_(states_.size(), false) {
   app::CoreHooks hooks;
   hooks.work = [this](std::int64_t units) {
     net().add_monitor_work(coordinator(), units);
@@ -45,7 +44,7 @@ void CoreHost::on_packet(sim::Packet&& p) {
     WCP_CHECK_MSG(slot >= 0, "snapshot from non-predicate process " << p.from);
     // FIFO app->coordinator gives states in order; in all-states streams
     // the arrival position is the state index (own clock component).
-    WCP_CHECK_MSG(!all_states_ || snap.vclock[su] == stream_.last(su) + 1,
+    WCP_CHECK_MSG(!all_states_ || snap.vclock[su] == last(su) + 1,
                   "state stream gap at slot " << slot);
     states_[su].push_back(std::move(snap));
     core_->on_state(su);

@@ -14,15 +14,19 @@
 //   online slicer            slice::SlicerCore  all states + end-of-stream
 //
 // The host does the simulator plumbing once: it maps each sender to its
-// predicate slot, appends the snapshot to the slot's array (the
-// SnapshotStateStream the core reads), charges the snapshot's bytes to the
-// coordinator's buffer on receipt and releases them through
-// CoreHooks::released, forwards CoreHooks::work into the coordinator's work
-// metric, checks all-states streams for gaps, ignores packets once the core
-// is done, and stops the simulator on detection. A host built with
-// `ends_on_eos` (the slicer) also feeds EndOfStream markers to the core and
-// stops on any final verdict; the others never see a stream end and run
-// until detection or until the replay drains.
+// predicate slot, appends the snapshot to the slot's array, charges the
+// snapshot's bytes to the coordinator's buffer on receipt and releases them
+// through CoreHooks::released, forwards CoreHooks::work into the
+// coordinator's work metric, checks all-states streams for gaps, ignores
+// packets once the core is done, and stops the simulator on detection. A
+// host built with `ends_on_eos` (the slicer) also feeds EndOfStream markers
+// to the core and stops on any final verdict; the others never see a stream
+// end and run until detection or until the replay drains.
+//
+// The host is itself the app::StateStream its core reads: position k on
+// slot s is the k-th snapshot received from that slot, and simulator runs
+// never retire state, so base is 1. After a run the same stream can be
+// sliced (slice::Slice::build), as detect::run_slice_online does.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +37,6 @@
 
 #include "app/app_driver.h"
 #include "app/snapshot.h"
-#include "app/snapshot_stream.h"
 #include "app/state_stream.h"
 #include "detect/result.h"
 #include "sim/network.h"
@@ -41,7 +44,7 @@
 
 namespace wcp::detect {
 
-class CoreHost final : public sim::Node {
+class CoreHost final : public sim::Node, public app::StateStream {
  public:
   /// Builds the hosted core over host.stream(). `hooks` already forwards
   /// work and releases into the coordinator's metrics; a factory may add
@@ -59,18 +62,28 @@ class CoreHost final : public sim::Node {
   [[nodiscard]] const Core& core() const {
     return static_cast<const Core&>(*core_);
   }
-  [[nodiscard]] const app::StateStream& stream() const { return stream_; }
-  /// Per-slot snapshots in arrival order (position k at index k - 1).
-  [[nodiscard]] const std::vector<std::vector<app::VcSnapshot>>& states()
-      const {
-    return states_;
-  }
+  [[nodiscard]] const app::StateStream& stream() const { return *this; }
   [[nodiscard]] const app::VcSnapshot& snapshot(std::size_t s,
                                                 StateIndex pos) const {
     return states_[s][static_cast<std::size_t>(pos - 1)];
   }
   /// Virtual time of detection (0 unless the core detected).
   [[nodiscard]] SimTime detect_time() const { return detect_time_; }
+
+  // --- app::StateStream over the received snapshots ---
+  [[nodiscard]] std::size_t slots() const override { return states_.size(); }
+  [[nodiscard]] StateIndex last(std::size_t s) const override {
+    return static_cast<StateIndex>(states_[s].size());
+  }
+  [[nodiscard]] StateIndex base(std::size_t) const override { return 1; }
+  [[nodiscard]] bool eos(std::size_t s) const override { return eos_[s]; }
+  [[nodiscard]] StateIndex clock(std::size_t s, StateIndex pos,
+                                 std::size_t t) const override {
+    return snapshot(s, pos).vclock[t];
+  }
+  [[nodiscard]] bool pred(std::size_t s, StateIndex pos) const override {
+    return snapshot(s, pos).pred;
+  }
 
  private:
   [[nodiscard]] ProcessId coordinator() const {
@@ -81,8 +94,7 @@ class CoreHost final : public sim::Node {
   bool all_states_;
   bool ends_on_eos_;
   std::vector<std::vector<app::VcSnapshot>> states_;  // per slot, in order
-  std::vector<bool> eos_;
-  app::SnapshotStateStream stream_;
+  std::vector<bool> eos_;  // set on EndOfStream (ends_on_eos hosts only)
   std::unique_ptr<app::StreamCore> core_;
   SimTime detect_time_ = 0;
 };

@@ -208,7 +208,7 @@ GcpResult detect_gcp_lattice(const Computation& comp,
         return true;
       });
 
-  res.detected = out.found;
+  res.detected = out.detected;
   res.truncated = out.truncated;
   res.cut = out.cut;
   res.cuts_explored = out.cuts_explored;

@@ -39,43 +39,28 @@ SlotClockTable predicate_clocks(const Computation& comp) {
   return SlotClockTable(comp, procs);
 }
 
-/// Copies the fields LatticeResult and DefinitelyResult share.
-template <typename Result>
-void fill_shared(Result& res, CutSearchOutcome& out, const Computation& comp) {
-  res.truncated = out.truncated;
-  res.cuts_explored = out.cuts_explored;
-  res.witness_path = std::move(out.path);
-  res.storage = out.storage;
-  res.trace_store = comp.trace_store_stats();
-}
-
 }  // namespace
 
 LatticeResult detect_lattice(const Computation& comp, std::int64_t max_cuts,
                              std::size_t threads) {
   const SlotClockTable clocks = predicate_clocks(comp);
-  CutSearchOutcome out = search_levels(
+  LatticeResult res = search_levels(
       clocks, max_cuts, threads,
       [&](std::span<const std::uint32_t> c) { return clocks.satisfies(c); });
-  LatticeResult res;
-  res.detected = out.found;
-  res.cut = std::move(out.cut);
-  res.max_frontier = out.max_frontier;
-  fill_shared(res, out, comp);
+  res.trace_store = comp.trace_store_stats();
   return res;
 }
 
 /// definitely(WCP) looks for an observation that AVOIDS the predicate: a BFS
 /// through non-satisfying consistent cuts only. If the top cut is
-/// reachable, some observation misses the predicate (found = not
+/// reachable, some observation misses the predicate (detected = not
 /// definitely); if every avoiding path gets stuck before the top, all
 /// observations hit it.
 DefinitelyResult detect_definitely(const Computation& comp,
                                    std::int64_t max_cuts) {
   const SlotClockTable clocks = predicate_clocks(comp);
   const std::size_t n = clocks.width();
-  DefinitelyResult res;
-  CutSearchOutcome out;
+  LatticeResult out;
   if (clocks.satisfies(Cut(n, 1))) {
     // Every observation starts at the bottom cut.
     out.cuts_explored = 1;
@@ -87,9 +72,14 @@ DefinitelyResult detect_definitely(const Computation& comp,
         [&](const Cut& c) { return !clocks.satisfies(c); });
   }
   // Reaching the top cut means an observation avoided the predicate.
-  res.definitely = !out.found;
-  if (out.found) res.witness = witness_from_path(comp, n, out.path);
-  fill_shared(res, out, comp);
+  DefinitelyResult res;
+  res.definitely = !out.detected;
+  res.truncated = out.truncated;
+  res.cuts_explored = out.cuts_explored;
+  if (out.detected) res.witness = witness_from_path(comp, n, out.witness_path);
+  res.witness_path = std::move(out.witness_path);
+  res.storage = out.storage;
+  res.trace_store = comp.trace_store_stats();
   return res;
 }
 

@@ -14,8 +14,8 @@
 // possibly(WCP) stops at the first satisfying cut; definitely(WCP) walks
 // only non-satisfying cuts and stops at the top cut (reached = some
 // observation avoids the predicate). Both run a search of
-// detect/slot_clocks.h and thin adapters map its outcome onto
-// LatticeResult / DefinitelyResult:
+// detect/slot_clocks.h, which reports in a LatticeResult; detect_lattice
+// returns it as is and detect_definitely maps it onto DefinitelyResult:
 //
 //   - detect_lattice admits every consistent cut, so it runs search_levels:
 //     a level-at-a-time BFS that keeps no table of visited cuts and splits

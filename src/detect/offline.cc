@@ -1,60 +1,20 @@
 #include "detect/offline.h"
 
 #include <deque>
-#include <span>
 #include <utility>
 #include <vector>
 
-#include "app/state_stream.h"
+#include "app/computation_stream.h"
 #include "clock/dependence.h"
 #include "common/error.h"
 #include "detect/stream_core.h"
 
 namespace wcp::detect {
 
-namespace {
-
-/// All-states view of the predicate processes of a computation: position ==
-/// state index, clocks projected onto the predicate slots (the width-n clock
-/// Fig. 2 would stamp on a state). The driver reveals one state at a time;
-/// a slot's stream ends with its last state.
-class ComputationStateStream final : public app::StateStream {
- public:
-  explicit ComputationStateStream(const Computation& comp)
-      : comp_(comp),
-        preds_(comp.predicate_processes()),
-        last_(preds_.size(), 0) {}
-
-  [[nodiscard]] std::size_t slots() const override { return preds_.size(); }
-  [[nodiscard]] StateIndex last(std::size_t s) const override {
-    return last_[s];
-  }
-  [[nodiscard]] StateIndex base(std::size_t) const override { return 1; }
-  [[nodiscard]] bool eos(std::size_t s) const override {
-    return last_[s] == comp_.num_states(preds_[s]);
-  }
-  [[nodiscard]] StateIndex clock(std::size_t s, StateIndex pos,
-                                 std::size_t t) const override {
-    return comp_.clock_component(preds_[s], pos, preds_[t]);
-  }
-  [[nodiscard]] bool pred(std::size_t s, StateIndex pos) const override {
-    return comp_.local_pred(preds_[s], pos);
-  }
-
-  void append(std::size_t s) { ++last_[s]; }
-
- private:
-  const Computation& comp_;
-  std::span<const ProcessId> preds_;
-  std::vector<StateIndex> last_;
-};
-
-}  // namespace
-
 DetectionResult detect_token_vc_offline(const Computation& comp) {
+  app::ComputationStateStream stream(comp);  // requires n >= 1
   const auto preds = comp.predicate_processes();
   const std::size_t n = preds.size();
-  WCP_REQUIRE(n >= 1, "empty predicate");
   const auto width = static_cast<std::int64_t>(n);
 
   DetectionResult res;
@@ -74,7 +34,6 @@ DetectionResult detect_token_vc_offline(const Computation& comp) {
     res.monitor_metrics.bump_token_hops();
     holder = to;
   };
-  ComputationStateStream stream(comp);
   TokenCore core(stream, std::move(hooks));
 
   for (std::size_t s = 0; s < n; ++s) {

@@ -18,7 +18,9 @@
 namespace wcp::detect {
 
 /// §3 single-token vector-clock algorithm, offline: TokenCore over an
-/// all-states view of `comp`; work and token sends go to the holding slot.
+/// app::ComputationStateStream of `comp` that reveals one state at a time
+/// (slot by slot, as Fig. 2 ships them); work and token sends go to the
+/// holding slot.
 DetectionResult detect_token_vc_offline(const Computation& comp);
 
 /// §4 direct-dependence algorithm, offline (serial schedule).

@@ -18,7 +18,7 @@
 #include <span>
 #include <vector>
 
-#include "common/cut_storage.h"
+#include "detect/lattice.h"
 #include "predicate/program.h"
 
 namespace wcp::detect {
@@ -26,17 +26,10 @@ namespace wcp::detect {
 /// Evaluated on the cut's bindings: envs[p] is process p's variables.
 using GlobalPredicate = std::function<bool(std::span<const pred::Env> envs)>;
 
-struct GeneralResult {
-  bool detected = false;
-  bool truncated = false;
-  std::vector<StateIndex> cut;  // width N (all processes)
-  std::int64_t cuts_explored = 0;
-  CutStorageStats storage;  ///< measured cut-storage footprint
-};
-
 /// possibly(Φ) over the variable traces. Explores at most `max_cuts`
-/// consistent cuts (<0: unbounded).
-GeneralResult detect_possibly_general(const pred::VarComputation& vc,
+/// consistent cuts (<0: unbounded). The result's cut and witness path span
+/// all N processes; trace_store is not filled.
+LatticeResult detect_possibly_general(const pred::VarComputation& vc,
                                       const GlobalPredicate& phi,
                                       std::int64_t max_cuts = -1);
 

@@ -5,6 +5,7 @@
 #include <limits>
 #include <utility>
 
+#include "app/computation_stream.h"
 #include "common/error.h"
 #include "detect/core_host.h"
 #include "slice/jil.h"
@@ -13,9 +14,10 @@
 namespace wcp::detect {
 
 LatticeResult detect_lattice_sliced(const Computation& comp) {
-  const slice::ComputationInput in(comp);
+  app::ComputationStateStream in(comp);
+  in.append_all();
   slice::JilCounters ctr;
-  std::vector<StateIndex> lo(in.num_slots(), 1);
+  std::vector<StateIndex> lo(in.slots(), 1);
   const auto bottom = slice::least_satisfying_cut(in, lo, &ctr);
 
   LatticeResult res;
@@ -66,8 +68,9 @@ struct FalseInterval {
 // brute-force baseline are exercised by tests/sliced_detect_test.cc.
 DefinitelyResult detect_definitely_sliced(const Computation& comp,
                                           std::int64_t max_cuts) {
-  const slice::ComputationInput in(comp);
-  const std::size_t n = in.num_slots();
+  app::ComputationStateStream in(comp);
+  in.append_all();
+  const std::size_t n = in.slots();
   DefinitelyResult res;
 
   // Every observation starts at the bottom cut; if it satisfies, done.
@@ -84,7 +87,7 @@ DefinitelyResult detect_definitely_sliced(const Computation& comp,
   // Collect the false intervals.
   std::vector<FalseInterval> ivs;
   for (std::size_t s = 0; s < n; ++s) {
-    const StateIndex last = in.num_states(s);
+    const StateIndex last = in.last(s);
     for (StateIndex k = 1; k <= last; ++k) {
       if (in.pred(s, k)) continue;
       FalseInterval iv;
@@ -115,7 +118,7 @@ DefinitelyResult detect_definitely_sliced(const Computation& comp,
     const int cur = work.front();
     work.pop_front();
     const FalseInterval iv = ivs[static_cast<std::size_t>(cur)];
-    if (iv.hi == in.num_states(iv.slot)) {
+    if (iv.hi == in.last(iv.slot)) {
       terminal = cur;
       break;
     }
@@ -133,9 +136,9 @@ DefinitelyResult detect_definitely_sliced(const Computation& comp,
           return res;
         }
         const StateIndex k0 =
-            std::max(iv.entry, in.causal_floor(to.slot, l, iv.slot) + 1);
+            std::max(iv.entry, in.clock(to.slot, l, iv.slot) + 1);
         if (k0 > iv.hi) continue;
-        if (in.causal_floor(iv.slot, k0, to.slot) < l) {
+        if (in.clock(iv.slot, k0, to.slot) < l) {
           label(static_cast<int>(j), l, cur, k0);
           break;
         }
@@ -188,15 +191,15 @@ SliceOnlineResult run_slice_online(const Computation& comp,
   r.detected = core.detected();
   r.cut = core.candidate();
   r.detect_time = run.host->detect_time();
-  for (const auto& slot : run.host->states())
-    r.states_received += static_cast<std::int64_t>(slot.size());
+  const app::StateStream& received = run.host->stream();
+  for (std::size_t s = 0; s < received.slots(); ++s)
+    r.states_received += received.last(s);
   r.jil_advances = core.jil_advances();
   r.clock_lookups = core.clock_lookups();
 
   // Slice of the received stream (the full computation on undetected or
   // late-detection runs), for the pruning counters.
-  const slice::StreamInput si(run.host->stream());
-  const auto sl = slice::Slice::build(si);
+  const auto sl = slice::Slice::build(received);
   r.slice_groups = sl.num_groups();
   r.slice_edges = sl.num_edges();
   const auto cc = sl.num_cuts(count_cap);

@@ -114,7 +114,7 @@ class LevelSearch {
     if (lanes_ > 1) pool_.emplace(lanes_);
   }
 
-  CutSearchOutcome run();
+  LatticeResult run();
 
  private:
   void pass1(Chunk& c);
@@ -249,8 +249,8 @@ std::vector<std::uint32_t> LevelSearch::least_path(
   return path;
 }
 
-CutSearchOutcome LevelSearch::run() {
-  CutSearchOutcome out;
+LatticeResult LevelSearch::run() {
+  LatticeResult out;
   std::fill_n(fit(cuts_, w_), w_, 1u);
   std::fill_n(fit(masks_, mw_), mw_, Mask{0});
   std::vector<Chunk> chunks;
@@ -285,11 +285,11 @@ CutSearchOutcome LevelSearch::run() {
         storage_.cuts_interned = out.cuts_explored +
                                  static_cast<std::int64_t>(m) + drift +
                                  c.drift - 1;
-        out.found = c.found;
+        out.detected = c.found;
         out.truncated = !c.found;
         if (c.found) {
           out.cut.assign(cut.begin(), cut.end());
-          out.path = least_path(cut);
+          out.witness_path = least_path(cut);
         }
         out.storage = storage_;
         return out;
@@ -315,9 +315,9 @@ CutSearchOutcome LevelSearch::run() {
 
 }  // namespace
 
-CutSearchOutcome search_levels(const SlotClockTable& clocks,
-                               std::int64_t max_cuts, std::size_t lanes,
-                               const CutGoal& goal) {
+LatticeResult search_levels(const SlotClockTable& clocks,
+                            std::int64_t max_cuts, std::size_t lanes,
+                            const CutGoal& goal) {
   return LevelSearch(clocks, max_cuts, lanes, goal).run();
 }
 

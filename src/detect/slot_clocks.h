@@ -47,6 +47,7 @@
 #include "common/cut_hash.h"
 #include "common/cut_storage.h"
 #include "common/types.h"
+#include "detect/lattice.h"
 #include "trace/computation.h"
 
 namespace wcp::detect {
@@ -101,19 +102,11 @@ class SlotClockTable {
   std::vector<std::uint32_t> cells_;
 };
 
-/// What one breadth-first lattice search found.
-struct CutSearchOutcome {
-  bool found = false;              ///< a popped cut passed the goal test
-  bool truncated = false;          ///< stopped at the max_cuts-th pop
-  std::vector<StateIndex> cut;     ///< the goal cut when found
-  std::int64_t cuts_explored = 0;  ///< cuts popped
-  std::int64_t max_frontier = 0;   ///< peak frontier size
-  /// When found: the advanced slots from the bottom cut to `cut` along its
-  /// BFS parents.
-  std::vector<std::uint32_t> path;
-  CutStorageStats storage;
-};
-
+/// Both searches report in a LatticeResult: `detected` means a popped cut
+/// passed the goal test (it is `cut`, reached from the bottom cut along
+/// `witness_path`), `truncated` that the search stopped at the max_cuts-th
+/// pop instead. `trace_store` is left for the caller to fill.
+///
 /// The goal test of an admit-all search: the popped cut, packed 32-bit
 /// components in slot order.
 using CutGoal = std::function<bool(std::span<const std::uint32_t>)>;
@@ -132,9 +125,9 @@ using CutGoal = std::function<bool(std::span<const std::uint32_t>)>;
 /// storage: cuts_interned is pops plus the queue at the stop, as a visited
 /// table would hold; peak_bytes is the high-water mark of the level
 /// buffers and heap_allocs the number of times they grew; table_probes 0.
-CutSearchOutcome search_levels(const SlotClockTable& clocks,
-                               std::int64_t max_cuts, std::size_t lanes,
-                               const CutGoal& goal);
+LatticeResult search_levels(const SlotClockTable& clocks,
+                            std::int64_t max_cuts, std::size_t lanes,
+                            const CutGoal& goal);
 
 /// The serial breadth-first search over the consistent cuts of `clocks`'
 /// slots, from the bottom cut. Pops cuts in FIFO order and stops at the
@@ -148,9 +141,8 @@ CutSearchOutcome search_levels(const SlotClockTable& clocks,
 /// exactly the order a FIFO queue would pop them, so the frontier is the
 /// arena suffix [head, size) and needs no queue of its own.
 template <typename Goal, typename Admit>
-CutSearchOutcome search_cuts(const SlotClockTable& clocks,
-                             std::int64_t max_cuts, Goal&& goal,
-                             Admit&& admit) {
+LatticeResult search_cuts(const SlotClockTable& clocks,
+                          std::int64_t max_cuts, Goal&& goal, Admit&& admit) {
   /// BFS parent offset of one visited cut: the handle of its predecessor
   /// (the bottom cut references itself) plus which slot the advance took.
   struct ParentLink {
@@ -158,7 +150,7 @@ CutSearchOutcome search_cuts(const SlotClockTable& clocks,
     std::uint32_t slot;
   };
   const std::size_t w = clocks.width();
-  CutSearchOutcome out;
+  LatticeResult out;
   CutArena arena(w);
   CutTable visited;
   const CutHash hasher;
@@ -175,12 +167,12 @@ CutSearchOutcome search_cuts(const SlotClockTable& clocks,
     arena.copy_to(static_cast<CutHandle>(head), scratch);
     ++out.cuts_explored;
     if (goal(std::as_const(scratch))) {
-      out.found = true;
+      out.detected = true;
       out.cut = scratch;
       for (auto c = static_cast<CutHandle>(head); c != 0;
            c = links[c].parent)
-        out.path.push_back(links[c].slot);
-      std::reverse(out.path.begin(), out.path.end());
+        out.witness_path.push_back(links[c].slot);
+      std::reverse(out.witness_path.begin(), out.witness_path.end());
       break;
     }
     if (max_cuts >= 0 && out.cuts_explored >= max_cuts) {

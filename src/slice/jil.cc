@@ -6,18 +6,12 @@
 
 namespace wcp::slice {
 
-ComputationInput::ComputationInput(const Computation& comp) : comp_(comp) {
-  procs_.assign(comp.predicate_processes().begin(),
-                comp.predicate_processes().end());
-  WCP_REQUIRE(!procs_.empty(), "empty predicate");
-}
-
 namespace {
 
 std::optional<std::vector<StateIndex>> advance_fixpoint(
-    const SliceInput& in, std::span<const StateIndex> lower_bounds,
+    const app::StateStream& in, std::span<const StateIndex> lower_bounds,
     bool require_pred, JilCounters* counters) {
-  const std::size_t n = in.num_slots();
+  const std::size_t n = in.slots();
   WCP_REQUIRE(lower_bounds.size() == n, "lower-bound width mismatch");
   JilCounters local;
   JilCounters& ctr = counters ? *counters : local;
@@ -30,7 +24,7 @@ std::optional<std::vector<StateIndex>> advance_fixpoint(
   auto advance_to = [&](std::size_t s, StateIndex lo) {
     const StateIndex from = std::max<StateIndex>(cut[s], 1);
     StateIndex k = std::max(from, lo);
-    const StateIndex last = in.num_states(s);
+    const StateIndex last = in.last(s);
     while (k <= last && require_pred && !in.pred(s, k)) ++k;
     if (k > last) {
       ctr.advances += last - from + 1;
@@ -57,7 +51,7 @@ std::optional<std::vector<StateIndex>> advance_fixpoint(
       for (std::size_t s = 0; s < n && !changed; ++s) {
         if (s == t) continue;
         ++ctr.clock_lookups;
-        const StateIndex floor = in.causal_floor(t, cut[t], s);
+        const StateIndex floor = in.clock(t, cut[t], s);
         if (cut[s] <= floor) {
           if (!advance_to(s, floor + 1)) return std::nullopt;
           changed = true;
@@ -71,29 +65,29 @@ std::optional<std::vector<StateIndex>> advance_fixpoint(
 }  // namespace
 
 std::optional<std::vector<StateIndex>> least_satisfying_cut(
-    const SliceInput& in, std::span<const StateIndex> lower_bounds,
+    const app::StateStream& in, std::span<const StateIndex> lower_bounds,
     JilCounters* counters) {
   return advance_fixpoint(in, lower_bounds, /*require_pred=*/true, counters);
 }
 
-std::optional<std::vector<StateIndex>> jil(const SliceInput& in,
+std::optional<std::vector<StateIndex>> jil(const app::StateStream& in,
                                            std::size_t slot, StateIndex k,
                                            JilCounters* counters) {
-  std::vector<StateIndex> lo(in.num_slots(), 1);
+  std::vector<StateIndex> lo(in.slots(), 1);
   lo.at(slot) = k;
   return least_satisfying_cut(in, lo, counters);
 }
 
 std::optional<std::vector<StateIndex>> least_consistent_cut(
-    const SliceInput& in, std::span<const StateIndex> lower_bounds,
+    const app::StateStream& in, std::span<const StateIndex> lower_bounds,
     JilCounters* counters) {
   return advance_fixpoint(in, lower_bounds, /*require_pred=*/false, counters);
 }
 
 std::vector<std::optional<std::vector<StateIndex>>> jil_column(
-    const SliceInput& in, std::size_t slot,
+    const app::StateStream& in, std::size_t slot,
     const std::vector<StateIndex>& bottom, JilCounters* counters) {
-  const auto m = static_cast<std::size_t>(in.num_states(slot));
+  const auto m = static_cast<std::size_t>(in.last(slot));
   std::vector<std::optional<std::vector<StateIndex>>> column(m);
   // J_slot is pointwise monotone in k, so each fixpoint resumes from the
   // previous J; once a fixpoint fails, every later state fails too.

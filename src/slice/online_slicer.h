@@ -10,10 +10,11 @@
 // far — and advances it past false or causally-dominated states as
 // snapshots arrive (the jil.h fixpoint run incrementally, O(n^2 m) total).
 // On stabilization the candidate is the same pointwise-minimal cut
-// detect_lattice returns. After the run, the slice of the received stream
-// is built to report slice-specific counters (JIL groups, quotient-DAG
-// edges, satisfying-cut count) next to the baseline's cuts_explored
-// (detect::run_slice_online, detect/sliced.h).
+// detect_lattice returns. After the run, Slice::build reads the stream the
+// coordinator host received (it is an app::StateStream itself) to report
+// slice-specific counters (JIL groups, quotient-DAG edges, satisfying-cut
+// count) next to the baseline's cuts_explored (detect::run_slice_online,
+// detect/sliced.h).
 //
 // The candidate fixpoint is SlicerCore, run by the simulator's coordinator
 // host (detect/core_host.h) and by the streaming service (src/serve);
@@ -25,36 +26,8 @@
 #include <vector>
 
 #include "app/state_stream.h"
-#include "slice/slice.h"
 
 namespace wcp::slice {
-
-/// SliceInput over the positions a StateStream holds (n-width Fig. 2
-/// clocks). Component t of a snapshot's clock is the highest state of slot
-/// t that happened before it — the same causal_floor contract the
-/// ground-truth oracle answers. Position k is state k, so the stream must
-/// be an all-states stream that has retired nothing (base 1 on every slot).
-class StreamInput final : public SliceInput {
- public:
-  explicit StreamInput(const app::StateStream& stream);
-
-  [[nodiscard]] std::size_t num_slots() const override {
-    return stream_.slots();
-  }
-  [[nodiscard]] StateIndex num_states(std::size_t slot) const override {
-    return stream_.last(slot);
-  }
-  [[nodiscard]] bool pred(std::size_t slot, StateIndex k) const override {
-    return stream_.pred(slot, k);
-  }
-  [[nodiscard]] StateIndex causal_floor(std::size_t s, StateIndex k,
-                                        std::size_t t) const override {
-    return stream_.clock(s, k, t);
-  }
-
- private:
-  const app::StateStream& stream_;
-};
 
 /// The incremental candidate fixpoint over a StateStream. Maintains the
 /// least consistent cut whose arrived components all satisfy the local

@@ -5,25 +5,31 @@
 #include <set>
 #include <utility>
 
+#include "app/computation_stream.h"
+#include "common/cut_hash.h"
 #include "common/error.h"
 #include "common/thread_pool.h"
 
 namespace wcp::slice {
 
-Slice Slice::build(const SliceInput& in, SliceBuildCounters* counters,
+Slice Slice::build(const app::StateStream& in, SliceBuildCounters* counters,
                    std::size_t threads) {
   SliceBuildCounters local;
   SliceBuildCounters& ctr = counters ? *counters : local;
-  const std::size_t n = in.num_slots();
+  const std::size_t n = in.slots();
   WCP_REQUIRE(n >= 1, "empty predicate");
+  // The fixpoint reads position k as state k (slice/jil.h).
+  for (std::size_t slot = 0; slot < n; ++slot)
+    WCP_REQUIRE(in.base(slot) == 1,
+                "slice of a stream that retired state on slot " << slot);
 
   Slice s;
   s.slots_.resize(n);
   s.groups_ = CutArena(n);
 
-  // The bottom fixpoint runs first and serially; for a lazily materialized
-  // input (ComputationInput's ground-truth clocks) it also forces the
-  // causality data into existence before any parallel fan-out below.
+  // The bottom fixpoint runs first and serially; over a recorded trace
+  // (app::ComputationStateStream) it also forces the lazily built clock
+  // store into existence before any parallel fan-out below.
   const auto bottom = jil(in, 0, 1, &ctr.jil);
   if (!bottom) return s;  // no satisfying cut: empty slice
   s.bottom_ = *bottom;
@@ -69,7 +75,7 @@ Slice Slice::build(const SliceInput& in, SliceBuildCounters* counters,
 
   for (std::size_t slot = 0; slot < n; ++slot) {
     auto& per = s.slots_[slot];
-    per.group.assign(static_cast<std::size_t>(in.num_states(slot)), -1);
+    per.group.assign(static_cast<std::size_t>(in.last(slot)), -1);
     const Column& col = columns[slot];
     for (std::size_t k0 = 0; k0 < col.size(); ++k0) {
       if (!col[k0]) break;  // column ends at the slice top
@@ -114,7 +120,9 @@ Slice Slice::build(const SliceInput& in, SliceBuildCounters* counters,
 
 Slice Slice::build(const Computation& comp, SliceBuildCounters* counters,
                    std::size_t threads) {
-  return build(ComputationInput(comp), counters, threads);
+  app::ComputationStateStream stream(comp);
+  stream.append_all();
+  return build(stream, counters, threads);
 }
 
 int Slice::group_of(std::size_t slot, StateIndex k) const {

@@ -24,39 +24,39 @@
 #include <queue>
 #include <vector>
 
-#include "common/cut_hash.h"
+#include "app/state_stream.h"
 #include "common/cut_storage.h"
 #include "common/types.h"
 #include "slice/jil.h"
+#include "trace/computation.h"
 
 namespace wcp::slice {
-
-/// FNV-1a over cut components — the one shared definition in
-/// common/cut_hash.h, also used by the lattice detectors' visited sets and
-/// the parallel shard partitioning.
-using CutHash = wcp::CutHash;
 
 /// Counters accumulated while building a slice.
 struct SliceBuildCounters {
   JilCounters jil;
   /// Footprint of the JIL-group interning (arena + dedup table). Interning
   /// is serial in slot order for every thread count, so these are
-  /// deterministic, unlike the detector-side sharded stats.
+  /// deterministic.
   CutStorageStats storage;
 };
 
 class Slice {
  public:
-  /// Builds the slice of `in`'s computation w.r.t. its conjunctive
-  /// predicate. O(n^2 m) fixpoint work plus O(n m) grouping. `threads`:
-  /// <= 1 = serial; otherwise the independent per-slot J columns are computed concurrently on that many
-  /// lanes and interned serially in slot order, so the resulting slice
-  /// (group numbering included) and the accumulated counters are identical
-  /// to the serial build for every thread count.
-  static Slice build(const SliceInput& in,
+  /// Builds the slice of the states `in` holds w.r.t. its conjunctive
+  /// predicate (slot s's local predicate is in.pred(s, ·)). `in` must have
+  /// retired nothing: throws std::invalid_argument unless base(s) == 1 on
+  /// every slot. O(n^2 m) fixpoint work plus O(n m) grouping. `threads`:
+  /// <= 1 = serial; otherwise the independent per-slot J columns are
+  /// computed concurrently on that many lanes and interned serially in slot
+  /// order, so the resulting slice (group numbering included) and the
+  /// accumulated counters are identical to the serial build for every
+  /// thread count.
+  static Slice build(const app::StateStream& in,
                      SliceBuildCounters* counters = nullptr,
                      std::size_t threads = 1);
-  /// Convenience: slice of a Computation via the ground-truth oracle.
+  /// Slice of a whole Computation (every state of an
+  /// app::ComputationStateStream).
   static Slice build(const Computation& comp,
                      SliceBuildCounters* counters = nullptr,
                      std::size_t threads = 1);

@@ -132,13 +132,9 @@ bool Computation::is_consistent_cut(std::span<const ProcessId> procs,
   return true;
 }
 
-namespace {
-
-// Shared advance-candidate oracle. `candidates[s]` lists the admissible
-// state indices for slot s in increasing order.
-std::optional<std::vector<StateIndex>> first_cut_oracle(
-    const Computation& c, std::span<const ProcessId> procs,
-    const std::vector<std::vector<StateIndex>>& candidates) {
+std::optional<std::vector<StateIndex>> Computation::first_cut(
+    std::span<const ProcessId> procs,
+    const std::vector<std::vector<StateIndex>>& candidates) const {
   const std::size_t w = procs.size();
   std::vector<std::size_t> pos(w, 0);
   for (std::size_t s = 0; s < w; ++s)
@@ -150,8 +146,8 @@ std::optional<std::vector<StateIndex>> first_cut_oracle(
     for (std::size_t s = 0; s < w && !changed; ++s) {
       for (std::size_t t = 0; t < w; ++t) {
         if (s == t) continue;
-        if (c.happened_before(procs[s], candidates[s][pos[s]], procs[t],
-                              candidates[t][pos[t]])) {
+        if (happened_before(procs[s], candidates[s][pos[s]], procs[t],
+                            candidates[t][pos[t]])) {
           if (++pos[s] >= candidates[s].size()) return std::nullopt;
           changed = true;
           break;
@@ -164,8 +160,6 @@ std::optional<std::vector<StateIndex>> first_cut_oracle(
   return cut;
 }
 
-}  // namespace
-
 std::optional<std::vector<StateIndex>> Computation::first_wcp_cut() const {
   const auto procs = predicate_processes();
   std::vector<std::vector<StateIndex>> candidates(procs.size());
@@ -173,7 +167,7 @@ std::optional<std::vector<StateIndex>> Computation::first_wcp_cut() const {
     for (StateIndex k = 1; k <= num_states(procs[s]); ++k)
       if (local_pred(procs[s], k)) candidates[s].push_back(k);
   }
-  return first_cut_oracle(*this, procs, candidates);
+  return first_cut(procs, candidates);
 }
 
 std::optional<std::vector<StateIndex>>
@@ -189,7 +183,7 @@ Computation::first_wcp_cut_all_processes() const {
     for (StateIndex k = 1; k <= num_states(procs[s]); ++k)
       if (!constrained || local_pred(procs[s], k)) candidates[s].push_back(k);
   }
-  return first_cut_oracle(*this, procs, candidates);
+  return first_cut(procs, candidates);
 }
 
 std::optional<Dependence> Computation::receive_dependence(ProcessId p,

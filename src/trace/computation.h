@@ -306,6 +306,15 @@ class Computation {
   [[nodiscard]] std::optional<std::vector<StateIndex>>
   first_wcp_cut_all_processes() const;
 
+  /// First (pointwise-minimal) pairwise-concurrent cut over `procs` that
+  /// takes slot s's state from candidates[s] (admissible state indices in
+  /// increasing order), by the advance-candidate strategy of the token
+  /// algorithms. std::nullopt if there is none. The two oracles above call
+  /// it with the states their predicates admit.
+  [[nodiscard]] std::optional<std::vector<StateIndex>> first_cut(
+      std::span<const ProcessId> procs,
+      const std::vector<std::vector<StateIndex>>& candidates) const;
+
   // ---- Derived per-state instrumentation data ----------------------------
 
   /// Scalar logical clock of state (p,k) under the §4.1 rules: clock == k

@@ -148,7 +148,7 @@ TEST(Centralized, SnapshotsDeliveredAfterDetectionAreNotCharged) {
   EXPECT_EQ(coord.work_units, at_detection.work_units);
   EXPECT_EQ(coord.buffered_bytes, at_detection.buffered_bytes);
   EXPECT_EQ(coord.peak_buffered_bytes, at_detection.peak_buffered_bytes);
-  EXPECT_EQ(host.states()[0].size(), 1u);
+  EXPECT_EQ(host.stream().last(0), 1);
   EXPECT_EQ(host.core<CentralizedCore>().cut(),
             (std::vector<StateIndex>{1, 1}));
 }

@@ -9,7 +9,10 @@
 #include <stdexcept>
 #include <vector>
 
+#include "app/computation_stream.h"
 #include "app/state_stream.h"
+#include "detect/core_host.h"
+#include "serve/stream_buffer.h"
 #include "slice/jil.h"
 #include "slice/online_slicer.h"
 #include "slice/slice.h"
@@ -115,21 +118,22 @@ TEST(Slice, JilIsMonotoneInK) {
   spec.local_pred_prob = 0.5;
   spec.seed = 7;
   const auto comp = workload::make_random(spec);
-  const ComputationInput in(comp);
+  app::ComputationStateStream in(comp);
+  in.append_all();
 
-  for (std::size_t s = 0; s < in.num_slots(); ++s) {
+  for (std::size_t s = 0; s < in.slots(); ++s) {
     std::optional<std::vector<StateIndex>> prev;
-    for (StateIndex k = 1; k <= in.num_states(s); ++k) {
+    for (StateIndex k = 1; k <= in.last(s); ++k) {
       const auto j = jil(in, s, k);
       if (j) {
         ASSERT_GE((*j)[s], k);
         if (prev) {
-          for (std::size_t t = 0; t < in.num_slots(); ++t)
+          for (std::size_t t = 0; t < in.slots(); ++t)
             EXPECT_LE((*prev)[t], (*j)[t]) << "slot " << s << " k " << k;
         }
       } else {
         // Existence is a prefix property: once J_s(k) fails, all later fail.
-        for (StateIndex k2 = k; k2 <= in.num_states(s); ++k2)
+        for (StateIndex k2 = k; k2 <= in.last(s); ++k2)
           EXPECT_FALSE(jil(in, s, k2).has_value());
         break;
       }
@@ -324,56 +328,63 @@ TEST(Slice, ParallelBuildOfEmptySlice) {
   }
 }
 
-/// An all-states stream over comp's predicate slots, as the coordinator
-/// host receives it: position k on slot s is state k, and its clock holds
-/// the predicate-slot components of (procs[s], k). `base` is every slot's
-/// retention floor.
-class ComputationStream final : public app::StateStream {
- public:
-  ComputationStream(const Computation& comp, StateIndex base)
-      : comp_(comp), procs_(comp.predicate_processes().begin(),
-                            comp.predicate_processes().end()),
-        base_(base) {}
-  [[nodiscard]] std::size_t slots() const override { return procs_.size(); }
-  [[nodiscard]] StateIndex last(std::size_t s) const override {
-    return comp_.num_states(procs_[s]);
-  }
-  [[nodiscard]] StateIndex base(std::size_t) const override { return base_; }
-  [[nodiscard]] bool eos(std::size_t) const override { return true; }
-  [[nodiscard]] StateIndex clock(std::size_t s, StateIndex pos,
-                                 std::size_t t) const override {
-    return comp_.clock_component(procs_[s], pos, procs_[t]);
-  }
-  [[nodiscard]] bool pred(std::size_t s, StateIndex pos) const override {
-    return comp_.local_pred(procs_[s], pos);
-  }
-
- private:
-  const Computation& comp_;
-  std::vector<ProcessId> procs_;
-  StateIndex base_;
-};
-
-TEST(Slice, StreamInputSlicesLikeTheComputation) {
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+/// The stream an online slicer run's coordinator received (detect::CoreHost)
+/// carries the Fig. 2 clocks that crossed the simulated network, not the
+/// trace's. The host stops on the slicer's verdict, so it may hold only a
+/// prefix of each slot: its slice must equal the slice of the same prefix
+/// of the computation, which is Slice::build(comp) when every state arrived.
+TEST(Slice, ReceivedStreamSlicesLikeTheComputation) {
+  int complete_runs = 0;
+  int multi_group_runs = 0;
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
     workload::RandomSpec spec;
     spec.num_processes = 5;
     spec.num_predicate = 3;
     spec.events_per_process = 8;
-    spec.local_pred_prob = 0.5;
+    // With rarely true predicates some runs end only after every state
+    // arrived.
+    spec.local_pred_prob = seed % 2 ? 0.5 : 0.1;
     spec.seed = seed;
     const auto comp = workload::make_random(spec);
-    const ComputationStream stream(comp, 1);
-    const auto streamed = Slice::build(StreamInput(stream));
-    const auto direct = Slice::build(comp);
+    app::AppDriverOptions drv;
+    drv.snapshot_all_states = true;
+    const detect::HostedRun run =
+        detect::run_core_host(comp, detect::RunOptions{}, drv,
+                              /*ends_on_eos=*/true,
+                              detect::make_core<SlicerCore>());
+    const app::StateStream& received = run.host->stream();
+    const auto streamed = Slice::build(received);
+
+    app::ComputationStateStream prefix(comp);
+    bool complete = true;
+    for (std::size_t s = 0; s < prefix.slots(); ++s) {
+      while (prefix.last(s) < received.last(s)) prefix.append(s);
+      complete = complete && prefix.eos(s);
+    }
+    const auto direct = complete ? Slice::build(comp) : Slice::build(prefix);
+    complete_runs += complete ? 1 : 0;
+    multi_group_runs += streamed.num_groups() > 1 ? 1 : 0;
     EXPECT_EQ(streamed.num_groups(), direct.num_groups()) << seed;
     EXPECT_EQ(streamed.num_edges(), direct.num_edges()) << seed;
     EXPECT_EQ(streamed.bottom(), direct.bottom()) << seed;
     EXPECT_EQ(streamed.top(), direct.top()) << seed;
-    // Positions are state indices only while nothing was retired.
-    const ComputationStream collected(comp, 2);
-    EXPECT_THROW(StreamInput{collected}, std::invalid_argument);
   }
+  EXPECT_GT(complete_runs, 0);
+  EXPECT_GT(multi_group_runs, 0);
+}
+
+/// Positions are state indices only while nothing was retired, so slicing a
+/// stream whose owner retired state must fail.
+TEST(Slice, BuildRejectsAStreamThatRetiredState) {
+  serve::StreamBuffer retired(2);
+  for (StateIndex k = 1; k <= 2; ++k) {
+    retired.append(0, {k, 0}, 1);
+    retired.append(1, {0, k}, 1);
+  }
+  EXPECT_NO_THROW(Slice::build(retired));
+  retired.trim(0, 2);
+  ASSERT_EQ(retired.base(0), 2);
+  EXPECT_THROW(Slice::build(retired), std::invalid_argument);
 }
 
 }  // namespace
