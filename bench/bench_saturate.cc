@@ -50,6 +50,9 @@ SaturateResult run_saturation(const Computation& comp,
                               const serve::ReplayOptions& opts,
                               std::size_t num_clients,
                               std::size_t pump_threads) {
+  // The pump threads all read clocks of `comp`: index them before the
+  // fan-out, since a built computation indexes on its first clock read.
+  (void)comp.trace_store();
   serve::TcpListener listener(0);
   serve::EventLoopServer server(listener, serve::EventLoopOptions{}, {});
   std::thread server_thread(

@@ -12,9 +12,11 @@
 // carries the clock of state k — and a message received between states l
 // and l+1 is "received into state l+1".
 //
-// Computation is immutable once built (via ComputationBuilder) and provides
-// the ground-truth happened-before oracle used by tests, offline reference
-// detectors, and the EXPERIMENTS harness.
+// Computation is immutable once built (via ComputationBuilder or a trace
+// loader) and provides the ground-truth happened-before oracle used by
+// tests, offline reference detectors, and the EXPERIMENTS harness. It is a
+// thin view over one TraceStore (trace_store.h): every computation, built or
+// loaded, is held as the store's packed columns.
 #pragma once
 
 #include <cstdint>
@@ -69,41 +71,51 @@ struct MessageRecord {
 /// encoding (trace_store.h), shared here so views can decode it in place.
 inline constexpr std::uint32_t kPackedEventReceiveBit = 0x8000'0000u;
 
-/// Random-access, value-returning view of one process's event timeline.
-/// Backed either by the eager std::vector<Event> of a built Computation or
-/// by the packed 32-bit event column of a (possibly mmap-ed) TraceStore, so
-/// the same loop walks both without materializing Event records.
-class EventView {
+/// Decodes one packed event word.
+inline Event decode_event(const std::uint32_t* w) {
+  return Event{(*w & kPackedEventReceiveBit) != 0 ? EventKind::kReceive
+                                                  : EventKind::kSend,
+               static_cast<MessageId>(*w & ~kPackedEventReceiveBit)};
+}
+
+/// Decodes one packed {from, send_state, to, recv_state} message quad.
+inline MessageRecord decode_message(const std::uint32_t* q) {
+  return MessageRecord{ProcessId(static_cast<std::int32_t>(q[0])),
+                       static_cast<StateIndex>(q[1]),
+                       ProcessId(static_cast<std::int32_t>(q[2])),
+                       static_cast<StateIndex>(q[3])};
+}
+
+/// Random-access, value-returning view of a packed TraceStore column of
+/// fixed-width records, `Words` 32-bit words each, decoded on access: loops
+/// walk the (possibly mmap-ed) column without materializing records.
+template <class Record, std::size_t Words,
+          Record (*Decode)(const std::uint32_t*)>
+class PackedView {
  public:
-  EventView() = default;
-  EventView(const Event* eager, std::size_t size)
-      : eager_(eager), size_(size) {}
-  EventView(const std::uint32_t* packed, std::size_t size)
-      : packed_(packed), size_(size) {}
+  PackedView() = default;
+  explicit PackedView(std::span<const std::uint32_t> words)
+      : words_(words.data()), size_(words.size() / Words) {}
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
-  [[nodiscard]] Event operator[](std::size_t i) const {
-    if (eager_ != nullptr) return eager_[i];
-    const std::uint32_t w = packed_[i];
-    return Event{(w & kPackedEventReceiveBit) != 0 ? EventKind::kReceive
-                                                   : EventKind::kSend,
-                 static_cast<MessageId>(w & ~kPackedEventReceiveBit)};
+  [[nodiscard]] Record operator[](std::size_t i) const {
+    return Decode(words_ + i * Words);
   }
 
   class iterator {
    public:
     using iterator_category = std::random_access_iterator_tag;
-    using value_type = Event;
+    using value_type = Record;
     using difference_type = std::ptrdiff_t;
     using pointer = void;
-    using reference = Event;
+    using reference = Record;
 
     iterator() = default;
-    iterator(const EventView* v, std::size_t i) : v_(v), i_(i) {}
-    Event operator*() const { return (*v_)[i_]; }
-    Event operator[](difference_type d) const {
+    iterator(const PackedView* v, std::size_t i) : v_(v), i_(i) {}
+    Record operator*() const { return (*v_)[i_]; }
+    Record operator[](difference_type d) const {
       return (*v_)[i_ + static_cast<std::size_t>(d)];
     }
     iterator& operator++() { ++i_; return *this; }
@@ -127,7 +139,7 @@ class EventView {
     }
 
    private:
-    const EventView* v_ = nullptr;
+    const PackedView* v_ = nullptr;
     std::size_t i_ = 0;
   };
 
@@ -135,94 +147,23 @@ class EventView {
   [[nodiscard]] iterator end() const { return {this, size_}; }
 
  private:
-  const Event* eager_ = nullptr;
-  const std::uint32_t* packed_ = nullptr;
+  const std::uint32_t* words_ = nullptr;
   std::size_t size_ = 0;
 };
 
-/// Value-returning view of the message table; eager MessageRecord array or
-/// packed {from, send_state, to, recv_state} 32-bit quads, like EventView.
-class MessageView {
- public:
-  MessageView() = default;
-  MessageView(const MessageRecord* eager, std::size_t size)
-      : eager_(eager), size_(size) {}
-  MessageView(const std::uint32_t* packed, std::size_t size)
-      : packed_(packed), size_(size) {}
-
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-
-  [[nodiscard]] MessageRecord operator[](std::size_t i) const {
-    if (eager_ != nullptr) return eager_[i];
-    const std::uint32_t* q = packed_ + i * 4;
-    return MessageRecord{ProcessId(static_cast<std::int32_t>(q[0])),
-                         static_cast<StateIndex>(q[1]),
-                         ProcessId(static_cast<std::int32_t>(q[2])),
-                         static_cast<StateIndex>(q[3])};
-  }
-
-  class iterator {
-   public:
-    using iterator_category = std::random_access_iterator_tag;
-    using value_type = MessageRecord;
-    using difference_type = std::ptrdiff_t;
-    using pointer = void;
-    using reference = MessageRecord;
-
-    iterator() = default;
-    iterator(const MessageView* v, std::size_t i) : v_(v), i_(i) {}
-    MessageRecord operator*() const { return (*v_)[i_]; }
-    MessageRecord operator[](difference_type d) const {
-      return (*v_)[i_ + static_cast<std::size_t>(d)];
-    }
-    iterator& operator++() { ++i_; return *this; }
-    iterator operator++(int) { iterator t = *this; ++i_; return t; }
-    iterator& operator--() { --i_; return *this; }
-    iterator operator--(int) { iterator t = *this; --i_; return t; }
-    iterator& operator+=(difference_type d) { i_ += static_cast<std::size_t>(d); return *this; }
-    iterator& operator-=(difference_type d) { i_ -= static_cast<std::size_t>(d); return *this; }
-    friend iterator operator+(iterator it, difference_type d) { return it += d; }
-    friend iterator operator+(difference_type d, iterator it) { return it += d; }
-    friend iterator operator-(iterator it, difference_type d) { return it -= d; }
-    friend difference_type operator-(const iterator& a, const iterator& b) {
-      return static_cast<difference_type>(a.i_) -
-             static_cast<difference_type>(b.i_);
-    }
-    friend bool operator==(const iterator& a, const iterator& b) {
-      return a.i_ == b.i_;
-    }
-    friend auto operator<=>(const iterator& a, const iterator& b) {
-      return a.i_ <=> b.i_;
-    }
-
-   private:
-    const MessageView* v_ = nullptr;
-    std::size_t i_ = 0;
-  };
-
-  [[nodiscard]] iterator begin() const { return {this, 0}; }
-  [[nodiscard]] iterator end() const { return {this, size_}; }
-
- private:
-  const MessageRecord* eager_ = nullptr;
-  const std::uint32_t* packed_ = nullptr;
-  std::size_t size_ = 0;
-};
+/// One process's event timeline.
+using EventView = PackedView<Event, 1, decode_event>;
+/// The message table.
+using MessageView = PackedView<MessageRecord, 4, decode_message>;
 
 class ComputationBuilder;
 
 class Computation {
  public:
-  /// Builds a computation that serves events, predicates, messages, and
-  /// ground-truth clocks directly out of `store` — no eager per-process
-  /// representation is materialized, so a mapped store stays on disk and
-  /// pages in on demand. Only O(N) shape metadata is copied.
+  /// The computation whose events, predicates, messages, and ground-truth
+  /// clocks are served directly out of `store`, so a mapped store stays on
+  /// disk and pages in on demand. Only O(N) shape metadata is copied.
   static Computation from_store(std::shared_ptr<const TraceStore> store);
-
-  /// True when this computation is a thin view over its TraceStore (the
-  /// zero-copy load path) rather than an eager builder product.
-  [[nodiscard]] bool store_backed() const { return store_backed_; }
 
   /// Number of processes N.
   [[nodiscard]] std::size_t num_processes() const { return pred_slot_.size(); }
@@ -237,19 +178,18 @@ class Computation {
     return pred_slot_.at(p.idx());
   }
 
-  /// Number of local states on process p (>= 1). Inline on both paths:
-  /// store-backed computations cache the O(N) state counts at adoption so
-  /// the hot exploration loops never call into the store for shape.
+  /// Number of local states on process p (>= 1). Inline: the O(N) state
+  /// counts are cached here so the hot exploration loops never call into
+  /// the store for shape.
   [[nodiscard]] StateIndex num_states(ProcessId p) const {
-    if (store_backed_) return store_states_.at(p.idx());
-    return static_cast<StateIndex>(per_process_.at(p.idx()).pred.size());
+    return states_.at(p.idx());
   }
 
   /// Truth of p's local predicate in state k (1-based).
   [[nodiscard]] bool local_pred(ProcessId p, StateIndex k) const;
 
   /// Events on process p's timeline, in order (a value-returning view over
-  /// either the eager vector or the store's packed column).
+  /// the store's packed column).
   [[nodiscard]] EventView events(ProcessId p) const;
 
   [[nodiscard]] MessageView messages() const;
@@ -265,8 +205,8 @@ class Computation {
   // ---- Ground-truth causality (full-width vector clocks) ----------------
 
   /// Full-width (N-component) vector clock of state (p, k), reconstructed on
-  /// demand from the columnar TraceStore (built once, lazily, on first use;
-  /// delta-encoded rather than the old O(N * total_states) eager matrix).
+  /// demand from the store's delta-encoded clock index (built once, lazily,
+  /// on the first clock read of a built computation).
   [[nodiscard]] VectorClock ground_truth_clock(ProcessId p,
                                                StateIndex k) const;
 
@@ -317,10 +257,6 @@ class Computation {
 
   // ---- Derived per-state instrumentation data ----------------------------
 
-  /// Scalar logical clock of state (p,k) under the §4.1 rules: clock == k
-  /// (the counter is incremented on every send/receive, starting at 1).
-  [[nodiscard]] static LamportTime lamport_clock(StateIndex k) { return k; }
-
   /// Direct dependences recorded during state (p,k): one (sender, clock)
   /// pair for the receive that created state k, if any (§4.1).
   [[nodiscard]] std::optional<Dependence> receive_dependence(
@@ -328,49 +264,29 @@ class Computation {
 
   // ---- Columnar trace store ----------------------------------------------
 
-  /// The columnar store serving ground-truth clocks, materialized on first
-  /// use (this call forces materialization).
+  /// The columnar store holding this computation, with its clock index
+  /// built (this call forces the first clock read of a built computation;
+  /// callers that fan out across threads make it first).
   [[nodiscard]] const TraceStore& trace_store() const;
 
-  /// Storage counters of the materialized store; all-zero if no caller has
-  /// needed ground-truth causality yet.
+  /// Storage counters of the store; all-zero while the clock index of a
+  /// built computation has not been needed yet.
   [[nodiscard]] TraceStoreStats trace_store_stats() const;
 
-  /// Attach an externally built store (e.g. one loaded from a wcp-tracebin
-  /// file) instead of rebuilding it; the store's shape must match.
-  void adopt_trace_store(std::shared_ptr<const TraceStore> store);
-
  private:
-  friend class ComputationBuilder;
-
-  struct PerProcess {
-    std::vector<Event> events;
-    std::vector<bool> pred;  // pred[k-1] = local predicate in state k
-  };
-
-  void ensure_ground_truth() const;
-
-  std::vector<PerProcess> per_process_;
-  std::vector<MessageRecord> messages_;
+  // Shared by copies of this computation, so they share one clock index.
+  std::shared_ptr<const TraceStore> store_;
   std::vector<ProcessId> predicate_processes_;
-  std::vector<int> pred_slot_;  // process idx -> slot in predicate list, -1
-
-  // Store-backed mode (from_store): per_process_/messages_ stay empty and
-  // every accessor reads the store's columns; store_states_ caches the
-  // per-process state counts so shape queries stay inline.
-  bool store_backed_ = false;
-  std::vector<StateIndex> store_states_;
-
-  // Lazy ground truth: delta-encoded clock columns, one store per
-  // computation (shared so adopters of a loaded file reuse the same data).
-  mutable std::shared_ptr<const TraceStore> store_;
+  std::vector<int> pred_slot_;     // process idx -> slot in predicate list, -1
+  std::vector<StateIndex> states_;  // per-process state counts
 };
 
 std::ostream& operator<<(std::ostream& os, const Computation& c);
 
 /// Incremental builder. Events must be appended in an order that is causally
-/// valid (a receive may only be appended after its send); build() verifies
-/// this and computes nothing else eagerly.
+/// valid (a receive may only be appended after its send). It appends the
+/// wcp-tracebin 1 columns directly; build() hands them to a TraceStore,
+/// which indexes the clocks on their first read.
 class ComputationBuilder {
  public:
   explicit ComputationBuilder(std::size_t num_processes);
@@ -413,9 +329,18 @@ class ComputationBuilder {
 
  private:
   void check_pid(ProcessId p) const;
+  /// Appends an event word to p's timeline, opening a state that takes p's
+  /// default predicate value.
+  void append_event(ProcessId p, std::uint32_t word);
+  /// Offset of message `msg`'s {from, send_state, to, recv_state} quad.
+  [[nodiscard]] std::size_t quad(MessageId msg) const;
 
-  Computation c_;
+  std::vector<ProcessId> predicate_processes_;
   std::vector<bool> default_pred_;
+  // The store's columns, per process until build() concatenates them.
+  std::vector<std::vector<std::uint32_t>> events_;     // packed event words
+  std::vector<std::vector<std::uint64_t>> pred_bits_;  // 64 states per word
+  std::vector<std::uint32_t> messages_;                // quads, by message id
   std::vector<std::vector<MessageId>> in_flight_;  // per destination, FIFO
   mutable std::vector<std::size_t> in_flight_head_;
 };

@@ -51,7 +51,7 @@ void write_trace(std::ostream& os, const Computation& c) {
   }
 
   // Greedy causal replay (receives after their sends), identical in spirit
-  // to Computation::ensure_ground_truth.
+  // to the one that indexes a TraceStore's clocks.
   std::vector<std::size_t> next(N, 0);
   // Sends are renumbered in emission order; map original ids to new ones so
   // 'recv' lines reference the reader's ids.

@@ -68,89 +68,85 @@ std::uint64_t lookup_packed(const std::uint64_t* first, const std::uint64_t* las
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Build: one greedy causal replay, recording only clock change points.
+// Builder columns and the lazy clock index.
 
-TraceStore TraceStore::build(const Computation& c) {
-  const std::size_t N = c.num_processes();
+TraceStore TraceStore::from_columns(
+    std::vector<std::uint32_t> pred_procs,
+    std::vector<std::vector<std::uint32_t>> events,
+    std::vector<std::vector<std::uint64_t>> pred_bits,
+    std::vector<std::uint32_t> messages) {
+  const std::size_t N = events.size();
   TraceStore s;
-  auto& state_counts = s.state_counts_own_;
-  auto& pred_procs = s.pred_procs_own_;
-  auto& events = s.events_own_;
-  auto& pred_bits = s.pred_bits_own_;
-  auto& messages = s.messages_own_;
-  auto& clock_offsets = s.clock_offsets_own_;
-  auto& clock_entries = s.clock_entries_own_;
-
-  state_counts.resize(N);
+  s.state_counts_own_.resize(N);
   s.event_offsets_.assign(N + 1, 0);
   s.pred_word_offsets_.assign(N + 1, 0);
   for (std::size_t p = 0; p < N; ++p) {
-    const ProcessId pid(static_cast<int>(p));
-    const auto states = static_cast<std::uint64_t>(c.num_states(pid));
+    const std::uint64_t states = events[p].size() + 1;
     WCP_REQUIRE(states < kStateCap,
-                "process " << pid << " has " << states
+                "process " << ProcessId(static_cast<int>(p)) << " has "
+                           << states
                            << " states, beyond the trace store's 2^32 cap");
-    state_counts[p] = states;
-    s.event_offsets_[p + 1] = s.event_offsets_[p] + (states - 1);
-    s.pred_word_offsets_[p + 1] = s.pred_word_offsets_[p] + (states + 63) / 64;
+    s.state_counts_own_[p] = states;
+    s.event_offsets_[p + 1] = s.event_offsets_[p] + events[p].size();
+    s.pred_word_offsets_[p + 1] = s.pred_word_offsets_[p] + pred_bits[p].size();
   }
-  WCP_REQUIRE(c.messages().size() < kMessageCap,
-              "computation has " << c.messages().size()
+  WCP_REQUIRE(messages.size() / 4 < kMessageCap,
+              "computation has " << messages.size() / 4
                                  << " messages, beyond the trace store's 2^31 cap");
 
-  events.reserve(s.event_offsets_[N]);
-  for (std::size_t p = 0; p < N; ++p)
-    for (const Event& ev : c.events(ProcessId(static_cast<int>(p))))
-      events.push_back((ev.kind == EventKind::kReceive ? kReceiveBit : 0u) |
-                       static_cast<std::uint32_t>(ev.msg));
-
-  pred_bits.assign(s.pred_word_offsets_[N], 0);
+  // Concatenate, releasing each per-process column as soon as it is copied.
+  s.events_own_.reserve(s.event_offsets_[N]);
+  s.pred_bits_own_.reserve(s.pred_word_offsets_[N]);
   for (std::size_t p = 0; p < N; ++p) {
-    const ProcessId pid(static_cast<int>(p));
-    for (StateIndex k = 1; k <= c.num_states(pid); ++k)
-      if (c.local_pred(pid, k)) {
-        const auto bit = static_cast<std::uint64_t>(k - 1);
-        pred_bits[s.pred_word_offsets_[p] + bit / 64] |= 1ull << (bit % 64);
-      }
+    s.events_own_.insert(s.events_own_.end(), events[p].begin(),
+                         events[p].end());
+    s.pred_bits_own_.insert(s.pred_bits_own_.end(), pred_bits[p].begin(),
+                            pred_bits[p].end());
+    events[p] = {};
+    pred_bits[p] = {};
   }
+  s.pred_procs_own_ = std::move(pred_procs);
+  s.messages_own_ = std::move(messages);
+  s.bind_owned();
+  return s;
+}
 
-  pred_procs.reserve(c.predicate_processes().size());
-  for (ProcessId p : c.predicate_processes())
-    pred_procs.push_back(static_cast<std::uint32_t>(p.value()));
+void TraceStore::index_clocks() const {
+  if (!clock_offsets_.empty()) return;
+  const std::int64_t scratch =
+      replay_clocks(clock_offsets_own_, clock_entries_own_);
+  clock_offsets_ = clock_offsets_own_;
+  clock_entries_ = clock_entries_own_;
+  count_clocks(resident_bytes(/*all_owned=*/true) + scratch);
+}
 
-  messages.reserve(c.messages().size() * 4);
-  for (const MessageRecord& mr : c.messages()) {
-    messages.push_back(static_cast<std::uint32_t>(mr.from.value()));
-    messages.push_back(static_cast<std::uint32_t>(mr.send_state));
-    messages.push_back(static_cast<std::uint32_t>(mr.to.value()));
-    messages.push_back(static_cast<std::uint32_t>(mr.recv_state));
-  }
-
-  // Clock change lists. Replay events in a causally valid global order (the
-  // same greedy scan ensure_ground_truth used), but never materialize a
+std::int64_t TraceStore::replay_clocks(
+    std::vector<std::uint64_t>& offsets,
+    std::vector<std::uint64_t>& entries) const {
+  // Replay events in a causally valid global order, but never materialize a
   // message clock: when P_p receives a message sent from (from, send_state),
   // each component j of the sender's clock is read back out of the sender's
   // own (already final up to send_state) change list.
+  const std::size_t N = num_processes();
   std::vector<std::vector<std::uint64_t>> cols(N * N);
   std::vector<std::uint64_t> cur(N * N, 0);  // cur[p*N+j], j != p; own implicit
   std::vector<std::size_t> next(N, 0);
-  std::vector<char> sent(c.messages().size(), 0);
+  std::vector<char> sent(num_messages(), 0);
 
-  std::size_t remaining = events.size();
+  std::size_t remaining = events_.size();
   while (remaining > 0) {
     bool progressed = false;
     for (std::size_t p = 0; p < N; ++p) {
-      const auto evs = c.events(ProcessId(static_cast<int>(p)));
-      while (next[p] < evs.size()) {
-        const Event ev = evs[next[p]];
-        const auto mi = static_cast<std::size_t>(ev.msg);
-        if (ev.kind == EventKind::kSend) {
+      const std::size_t count = event_offsets_[p + 1] - event_offsets_[p];
+      while (next[p] < count) {
+        const std::uint32_t w = events_[event_offsets_[p] + next[p]];
+        const std::size_t mi = w & ~kReceiveBit;
+        if ((w & kReceiveBit) == 0) {
           sent[mi] = 1;
         } else {
           if (!sent[mi]) break;  // wait for the sender's replay
-          const MessageRecord mr = c.message(ev.msg);
-          const auto from = static_cast<std::size_t>(mr.from.idx());
-          const auto bound = static_cast<std::uint64_t>(mr.send_state);
+          const auto from = static_cast<std::size_t>(messages_[mi * 4]);
+          const std::uint64_t bound = messages_[mi * 4 + 1];
           const auto k = static_cast<std::uint64_t>(next[p]) + 2;
           for (std::size_t j = 0; j < N; ++j) {
             if (j == p) continue;  // own component is k by construction
@@ -172,12 +168,13 @@ TraceStore TraceStore::build(const Computation& c) {
         progressed = true;
       }
     }
-    WCP_CHECK_MSG(progressed || remaining == 0,
-                  "computation event order is causally inconsistent");
+    WCP_REQUIRE(progressed,
+                "wcp-tracebin parse error: event columns deadlock under "
+                "causal replay (a receive precedes its send)");
   }
 
   // Flatten into the interval index. The replay scratch still exists here,
-  // so this is the build's memory high-water point.
+  // so this is the replay's memory high-water point.
   std::int64_t scratch = static_cast<std::int64_t>(
       cur.size() * sizeof(std::uint64_t) + next.size() * sizeof(std::size_t) +
       sent.size());
@@ -185,24 +182,27 @@ TraceStore TraceStore::build(const Computation& c) {
     scratch += static_cast<std::int64_t>(sizeof(col) +
                                          col.capacity() * sizeof(std::uint64_t));
 
-  clock_offsets.assign(N * N + 1, 0);
+  offsets.assign(N * N + 1, 0);
   std::size_t total_entries = 0;
   for (std::size_t i = 0; i < N * N; ++i) {
     total_entries += cols[i].size();
-    clock_offsets[i + 1] = total_entries;
+    offsets[i + 1] = total_entries;
   }
-  clock_entries.reserve(total_entries);
+  entries.clear();
+  entries.reserve(total_entries);
   for (const auto& col : cols)
-    clock_entries.insert(clock_entries.end(), col.begin(), col.end());
+    entries.insert(entries.end(), col.begin(), col.end());
+  return scratch;
+}
 
-  s.bind_owned();
-  s.stats_.clocks_interned = s.total_states();
-  s.stats_.delta_entries = static_cast<std::int64_t>(clock_entries.size());
-  s.stats_.peak_bytes = s.resident_bytes() + scratch;
-  s.stats_.delta_ratio =
-      static_cast<double>(static_cast<std::int64_t>(N) * s.total_states()) /
-      static_cast<double>(std::max<std::int64_t>(1, s.stats_.delta_entries));
-  return s;
+void TraceStore::count_clocks(std::int64_t peak_bytes) const {
+  stats_.peak_bytes = peak_bytes;
+  stats_.clocks_interned = total_states();
+  stats_.delta_entries = static_cast<std::int64_t>(clock_entries_.size());
+  stats_.delta_ratio =
+      static_cast<double>(static_cast<std::int64_t>(num_processes()) *
+                          total_states()) /
+      static_cast<double>(std::max<std::int64_t>(1, stats_.delta_entries));
 }
 
 void TraceStore::bind_owned() {
@@ -215,18 +215,19 @@ void TraceStore::bind_owned() {
   clock_entries_ = clock_entries_own_;
 }
 
-std::int64_t TraceStore::resident_bytes() const {
-  // Owned storage only: a mapped store's columns live in the page cache and
-  // are not charged to this process's heap.
-  const auto vec_bytes = [](const auto& v) {
-    return static_cast<std::int64_t>(v.size() *
-                                     sizeof(typename std::decay_t<decltype(v)>::value_type));
+std::int64_t TraceStore::resident_bytes(bool all_owned) const {
+  // A mapped store's columns live in the page cache and are not charged to
+  // this process's heap unless `all_owned` asks for them.
+  const auto bytes = [](const auto& v) {
+    return static_cast<std::int64_t>(v.size() * sizeof(v[0]));
   };
-  return static_cast<std::int64_t>(sizeof(*this)) + vec_bytes(event_offsets_) +
-         vec_bytes(pred_word_offsets_) + vec_bytes(state_counts_own_) +
-         vec_bytes(pred_procs_own_) + vec_bytes(events_own_) +
-         vec_bytes(pred_bits_own_) + vec_bytes(messages_own_) +
-         vec_bytes(clock_offsets_own_) + vec_bytes(clock_entries_own_);
+  std::int64_t b = static_cast<std::int64_t>(sizeof(*this)) +
+                   bytes(event_offsets_) + bytes(pred_word_offsets_);
+  if (all_owned || backing_ == nullptr)
+    b += bytes(state_counts_) + bytes(pred_procs_) + bytes(events_) +
+         bytes(pred_bits_) + bytes(messages_) + bytes(clock_offsets_) +
+         bytes(clock_entries_);
+  return b;
 }
 
 std::int64_t TraceStore::total_states() const {
@@ -237,15 +238,6 @@ std::int64_t TraceStore::total_states() const {
 
 // ---------------------------------------------------------------------------
 // Column accessors.
-
-Event TraceStore::event(ProcessId p, std::size_t t) const {
-  WCP_REQUIRE(p.valid() && p.idx() < num_processes(), "bad process id " << p);
-  WCP_REQUIRE(t < num_events(p),
-              "event (" << p << "," << t << ") out of range");
-  const std::uint32_t w = events_[event_offsets_[p.idx()] + t];
-  return Event{(w & kReceiveBit) != 0 ? EventKind::kReceive : EventKind::kSend,
-               static_cast<MessageId>(w & ~kReceiveBit)};
-}
 
 std::span<const std::uint32_t> TraceStore::packed_events(ProcessId p) const {
   WCP_REQUIRE(p.valid() && p.idx() < num_processes(), "bad process id " << p);
@@ -265,11 +257,7 @@ bool TraceStore::local_pred(ProcessId p, StateIndex k) const {
 MessageRecord TraceStore::message(MessageId id) const {
   WCP_REQUIRE(id >= 0 && static_cast<std::size_t>(id) < num_messages(),
               "unknown message " << id);
-  const std::size_t b = static_cast<std::size_t>(id) * 4;
-  return MessageRecord{ProcessId(static_cast<int>(messages_[b])),
-                       static_cast<StateIndex>(messages_[b + 1]),
-                       ProcessId(static_cast<int>(messages_[b + 2])),
-                       static_cast<StateIndex>(messages_[b + 3])};
+  return decode_message(messages_.data() + static_cast<std::size_t>(id) * 4);
 }
 
 StateIndex TraceStore::clock_component(ProcessId p, StateIndex k,
@@ -279,6 +267,7 @@ StateIndex TraceStore::clock_component(ProcessId p, StateIndex k,
   WCP_REQUIRE(j.valid() && j.idx() < N, "bad process id " << j);
   WCP_REQUIRE(k >= 1 && k <= num_states(p),
               "state (" << p << "," << k << ") out of range");
+  index_clocks();
   if (p == j) return k;  // own component counts local states directly
   const std::uint64_t lo = clock_offsets_[p.idx() * N + j.idx()];
   const std::uint64_t hi = clock_offsets_[p.idx() * N + j.idx() + 1];
@@ -292,6 +281,7 @@ VectorClock TraceStore::clock(ProcessId p, StateIndex k) const {
   WCP_REQUIRE(p.valid() && p.idx() < N, "bad process id " << p);
   WCP_REQUIRE(k >= 1 && k <= num_states(p),
               "state (" << p << "," << k << ") out of range");
+  index_clocks();
   std::vector<StateIndex> comps(N, 0);
   comps[p.idx()] = k;
   for (std::size_t j = 0; j < N; ++j) {
@@ -309,6 +299,7 @@ VectorClock TraceStore::clock(ProcessId p, StateIndex k) const {
 // Binary format.
 
 void TraceStore::save(std::ostream& os) const {
+  index_clocks();
   const std::size_t N = num_processes();
   std::string body;
 
@@ -643,83 +634,28 @@ TraceStore TraceStore::from_source(std::shared_ptr<const ByteSource> src,
     }
   }
 
-  s.stats_.clocks_interned = s.total_states();
-  s.stats_.delta_entries = static_cast<std::int64_t>(s.clock_entries_.size());
-  s.stats_.delta_ratio =
-      static_cast<double>(static_cast<std::int64_t>(N) * s.total_states()) /
-      static_cast<double>(std::max<std::int64_t>(1, s.stats_.delta_entries));
-
   if (opts.verify_replay) {
-    // Semantic verification: replay the event columns into a Computation and
-    // rebuild the clock deltas from scratch. The change lists are a
-    // canonical function of the causal structure (independent of message
-    // numbering), so any disagreement means the stored clock section lies
-    // about the events. Report the rebuild's peak (build scratch included)
-    // so a verified binary load and a from-scratch build of the same
-    // computation expose identical storage counters.
-    const Computation replayed = s.to_computation();
-    const TraceStore rebuilt = TraceStore::build(replayed);
-    WCP_REQUIRE(
-        std::ranges::equal(rebuilt.clock_offsets_, s.clock_offsets_) &&
-            std::ranges::equal(rebuilt.clock_entries_, s.clock_entries_),
-        "wcp-tracebin parse error: clock section is inconsistent with "
-        "the event structure");
-    s.stats_.peak_bytes = rebuilt.stats_.peak_bytes;
+    // Semantic verification: rebuild the clock deltas by the replay a built
+    // store indexes with, straight from the loaded columns. The change
+    // lists are a canonical function of the causal structure, so any
+    // disagreement means the stored clock section lies about the events.
+    // Report the replay's all-owned peak so a verified binary load and a
+    // built computation of the same trace expose identical storage counters.
+    std::vector<std::uint64_t> offsets, entries;
+    const std::int64_t scratch = s.replay_clocks(offsets, entries);
+    WCP_REQUIRE(std::ranges::equal(offsets, s.clock_offsets_) &&
+                    std::ranges::equal(entries, s.clock_entries_),
+                "wcp-tracebin parse error: clock section is inconsistent with "
+                "the event structure");
+    s.count_clocks(s.resident_bytes(/*all_owned=*/true) + scratch);
   } else {
-    s.stats_.peak_bytes = s.resident_bytes();
+    s.count_clocks(s.resident_bytes(/*all_owned=*/false));
   }
 
   // Validation scanned everything once; from here on access is random
   // (binary searches into the clock index, per-process column walks).
   src->advise_random();
   return s;
-}
-
-Computation TraceStore::to_computation() const {
-  const std::size_t N = num_processes();
-  ComputationBuilder b(N);
-  {
-    std::vector<ProcessId> preds;
-    preds.reserve(pred_procs_.size());
-    for (std::uint32_t v : pred_procs_)
-      preds.emplace_back(static_cast<int>(v));
-    b.set_predicate_processes(std::move(preds));
-  }
-  for (std::size_t p = 0; p < N; ++p) {
-    const ProcessId pid(static_cast<int>(p));
-    b.mark_pred(pid, local_pred(pid, 1));
-  }
-
-  // Greedy causal replay of the event columns; builder message ids are
-  // assigned in replay order, so map the file's ids as sends are emitted.
-  std::vector<std::size_t> next(N, 0);
-  std::vector<MessageId> new_id(num_messages(), -1);
-  std::size_t remaining = events_.size();
-  while (remaining > 0) {
-    bool progressed = false;
-    for (std::size_t p = 0; p < N; ++p) {
-      const ProcessId pid(static_cast<int>(p));
-      const std::size_t count = num_events(pid);
-      while (next[p] < count) {
-        const std::uint32_t w = events_[event_offsets_[p] + next[p]];
-        const auto id = static_cast<std::size_t>(w & ~kReceiveBit);
-        if ((w & kReceiveBit) == 0) {
-          new_id[id] = b.send(pid, message(static_cast<MessageId>(id)).to);
-        } else {
-          if (new_id[id] < 0) break;  // wait for the sender's replay
-          b.receive(new_id[id]);
-        }
-        b.mark_pred(pid, local_pred(pid, static_cast<StateIndex>(next[p]) + 2));
-        ++next[p];
-        --remaining;
-        progressed = true;
-      }
-    }
-    WCP_REQUIRE(progressed || remaining == 0,
-                "wcp-tracebin parse error: event columns deadlock under "
-                "causal replay (a receive precedes its send)");
-  }
-  return b.build();
 }
 
 // ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
-// Columnar trace storage: the at-rest counterpart of common/cut_storage.h.
+// Columnar trace storage: the at-rest counterpart of common/cut_storage.h,
+// and the one representation of a Computation (computation.h is a thin view
+// over it, whether the store was built in memory or loaded from a file).
 //
 // A Computation's ground-truth causality used to be an eager clock matrix —
 // one heap-backed N-wide VectorClock per local state, O(N * total_states)
@@ -19,6 +21,10 @@
 //     component is one binary search; reconstructing a full clock is N of
 //     them, on demand, instead of N words held resident per state.
 //
+// ComputationBuilder appends the event, predicate and message columns; the
+// clock index of such a store is built by one greedy causal replay of them
+// on the first clock read, so runs that read no clock never pay for it.
+//
 // The same columns define the versioned on-disk format "wcp-tracebin 1":
 // every section is fixed-width little-endian, the header carries the column
 // offsets, and all sections are 8-byte aligned. The loader exploits exactly
@@ -32,12 +38,12 @@
 // clock-offset and change-list monotonicity) ALWAYS runs: after it, no
 // accessor can read outside the mapping, so a truncated or hostile file
 // fails with "wcp-tracebin parse error:" instead of faulting. The O(file)
-// *semantic* check — replaying the events and rebuilding the clock deltas
-// to confirm the stored clocks describe this computation — is opt-out via
+// *semantic* check — the same causal replay over the loaded columns,
+// confirming the stored clocks describe this computation — is opt-out via
 // TraceLoadOptions::verify_replay for files we wrote ourselves.
 //
 // Everything is measured: TraceStoreStats reports the store's resident
-// high-water mark (build scratch included), the number of clocks it
+// high-water mark (replay scratch included), the number of clocks it
 // represents, and the delta-compression ratio against the full-matrix
 // representation it replaced — the counters behind bench E18.
 #pragma once
@@ -69,7 +75,10 @@ struct TraceLoadOptions {
   bool verify_replay = true;
 };
 
-/// Flat, immutable, columnar snapshot of one Computation.
+/// Flat, immutable, columnar representation of one Computation. A store
+/// reached through Computation::trace_store() or a loader has its clock
+/// index; one fresh from ComputationBuilder indexes it on the first clock
+/// read (not thread-safe: callers that fan out read a clock first).
 ///
 /// Move-only: the column spans may point into the owned vectors, and a
 /// member-wise copy would leave the copy's spans aliasing the original.
@@ -81,10 +90,6 @@ class TraceStore {
   TraceStore(TraceStore&&) = default;
   TraceStore& operator=(TraceStore&&) = default;
 
-  /// Builds the columns by one causal replay of `c` (receives are processed
-  /// after their sends, exactly the order ComputationBuilder guarantees).
-  static TraceStore build(const Computation& c);
-
   // ---- shape ---------------------------------------------------------------
 
   [[nodiscard]] std::size_t num_processes() const {
@@ -92,9 +97,6 @@ class TraceStore {
   }
   [[nodiscard]] StateIndex num_states(ProcessId p) const {
     return static_cast<StateIndex>(span_at(state_counts_, p.idx()));
-  }
-  [[nodiscard]] std::size_t num_events(ProcessId p) const {
-    return span_at(state_counts_, p.idx()) - 1;
   }
   [[nodiscard]] std::size_t num_messages() const {
     return messages_.size() / 4;
@@ -106,8 +108,6 @@ class TraceStore {
 
   // ---- columns -------------------------------------------------------------
 
-  /// Event t (0-based) on process p's timeline.
-  [[nodiscard]] Event event(ProcessId p, std::size_t t) const;
   /// Packed event column of process p (kPackedEventReceiveBit | message id
   /// per word) — the zero-copy view Computation serves events from.
   [[nodiscard]] std::span<const std::uint32_t> packed_events(
@@ -129,6 +129,7 @@ class TraceStore {
   /// Full N-wide clock of state (p, k), reconstructed on demand.
   [[nodiscard]] VectorClock clock(ProcessId p, StateIndex k) const;
 
+  /// Storage counters; all-zero until the clock index exists.
   [[nodiscard]] const TraceStoreStats& stats() const { return stats_; }
 
   /// True when the columns alias a live file mapping rather than heap
@@ -161,14 +162,9 @@ class TraceStore {
   static TraceStore from_source(std::shared_ptr<const ByteSource> src,
                                 const TraceLoadOptions& opts = {});
 
-  /// Rebuilds the full Computation (events, predicates, messages) by causal
-  /// replay of the columns. The result carries no clock store; callers that
-  /// want to reuse this store's clocks attach it via
-  /// Computation::adopt_trace_store.
-  [[nodiscard]] Computation to_computation() const;
-
  private:
   friend class Computation;
+  friend class ComputationBuilder;
 
   template <class T>
   static const T& span_at(std::span<const T> s, std::size_t i) {
@@ -177,11 +173,35 @@ class TraceStore {
     return s[i];
   }
 
+  /// Adopts the columns ComputationBuilder appended, concatenating the
+  /// per-process ones; the clock index is left for the first clock read.
+  static TraceStore from_columns(
+      std::vector<std::uint32_t> pred_procs,
+      std::vector<std::vector<std::uint32_t>> events,
+      std::vector<std::vector<std::uint64_t>> pred_bits,
+      std::vector<std::uint32_t> messages);
+
   /// Points every column span at its owned vector (in-memory builds and the
   /// big-endian decode fallback).
   void bind_owned();
 
-  [[nodiscard]] std::int64_t resident_bytes() const;
+  /// Builds the clock index by replay_clocks if the store has none yet (an
+  /// empty clock-offset span means "not indexed").
+  void index_clocks() const;
+
+  /// One greedy causal replay of the event columns (receives after their
+  /// sends) into a clock interval index; returns the replay's scratch bytes.
+  /// Throws a parse error if the columns deadlock.
+  std::int64_t replay_clocks(std::vector<std::uint64_t>& offsets,
+                             std::vector<std::uint64_t>& entries) const;
+
+  /// Fills stats_ from the clock index, with `peak_bytes` as the peak.
+  void count_clocks(std::int64_t peak_bytes) const;
+
+  /// The struct, its derived offsets and its owned columns; `all_owned`
+  /// charges mapped columns too — the figure a replay peaks at (plus its
+  /// scratch), however the columns are backed.
+  [[nodiscard]] std::int64_t resident_bytes(bool all_owned) const;
 
   // Column views: each aliases either its *_own_ vector below or `backing_`.
   // All indices into them are derived from state_counts_, so the layout has
@@ -194,9 +214,10 @@ class TraceStore {
 
   // Interval index: change points of component j on process p live at
   // clock_entries_[clock_offsets_[p*N+j] .. clock_offsets_[p*N+j+1]), each
-  // packed (k << 32) | value with k strictly increasing.
-  std::span<const std::uint64_t> clock_offsets_;  // N*N + 1
-  std::span<const std::uint64_t> clock_entries_;
+  // packed (k << 32) | value with k strictly increasing. Mutable, with their
+  // owned vectors and stats_, because index_clocks fills them on first use.
+  mutable std::span<const std::uint64_t> clock_offsets_;  // N*N + 1, or empty
+  mutable std::span<const std::uint64_t> clock_entries_;
 
   // Derived indexes, always owned (O(N) small).
   std::vector<std::uint64_t> event_offsets_;      // N+1, into events_
@@ -209,27 +230,26 @@ class TraceStore {
   std::vector<std::uint32_t> events_own_;
   std::vector<std::uint64_t> pred_bits_own_;
   std::vector<std::uint32_t> messages_own_;
-  std::vector<std::uint64_t> clock_offsets_own_;
-  std::vector<std::uint64_t> clock_entries_own_;
+  mutable std::vector<std::uint64_t> clock_offsets_own_;
+  mutable std::vector<std::uint64_t> clock_entries_own_;
 
   // Keeps the mapping (or owned file buffer) alive while views alias it.
   std::shared_ptr<const ByteSource> backing_;
 
-  TraceStoreStats stats_;
+  mutable TraceStoreStats stats_;
 };
 
 // ---- file-level helpers ----------------------------------------------------
 
 inline constexpr std::string_view kTracebinMagic = "wcptrbin";
 
-/// Writes `c` in the wcp-tracebin 1 binary format (builds or reuses the
-/// computation's TraceStore).
+/// Writes `c` in the wcp-tracebin 1 binary format (its TraceStore's
+/// columns, clock index included).
 void save_tracebin(std::ostream& os, const Computation& c);
 void save_tracebin_file(const std::string& path, const Computation& c);
 
-/// Reads a wcp-tracebin stream back into a Computation whose events,
-/// predicates, messages, and ground-truth clocks are all served by the
-/// loaded store (no eager per-process materialization).
+/// Reads a wcp-tracebin stream back into a Computation over the loaded
+/// store.
 Computation load_tracebin(std::istream& is, const TraceLoadOptions& opts = {});
 Computation load_tracebin_file(const std::string& path,
                                const TraceLoadOptions& opts = {});

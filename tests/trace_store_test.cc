@@ -17,6 +17,7 @@
 
 #include "detect/lattice.h"
 #include "detect/offline.h"
+#include "detect/token_vc.h"
 #include "trace/trace_io.h"
 #include "workload/random_workload.h"
 
@@ -85,7 +86,7 @@ TEST(TraceStore, ClocksMatchEagerReplayOracle) {
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     const auto c = random_comp(seed, 5, 3, seed % 2 ? 1.0 : 0.6);
     const auto oracle = eager_clocks(c);
-    const TraceStore s = TraceStore::build(c);
+    const TraceStore& s = c.trace_store();
     for (std::size_t p = 0; p < c.num_processes(); ++p) {
       const ProcessId pid(static_cast<int>(p));
       ASSERT_EQ(s.num_states(pid), c.num_states(pid));
@@ -206,13 +207,77 @@ TEST(TraceStore, LoadedStoreIsAdoptedWithoutRebuild) {
   EXPECT_EQ(before.delta_entries, after.delta_entries);
 }
 
-TEST(TraceStore, AdoptRejectsMismatchedShape) {
-  const auto a = random_comp(1, 4, 2);
-  const auto b = random_comp(2, 5, 2);
-  auto store_b =
-      std::make_shared<const TraceStore>(TraceStore::build(b));
-  Computation copy = a;  // different N than b
-  EXPECT_THROW(copy.adopt_trace_store(store_b), std::invalid_argument);
+TEST(TraceStore, BuiltStoreIndexesClocksLazily) {
+  const auto c = random_comp(13);
+  // The online token run reads no ground-truth clock.
+  (void)detect::run_token_vc(c, detect::RunOptions{});
+  const auto before = c.trace_store_stats();
+  EXPECT_FALSE(before.materialized());
+  EXPECT_EQ(before.peak_bytes, 0);
+  EXPECT_EQ(before.delta_entries, 0);
+  EXPECT_EQ(before.delta_ratio, 0.0);
+
+  // The first clock read indexes the store and reports exactly what a
+  // verified load of the same trace reports.
+  (void)c.clock_component(ProcessId(0), 1, ProcessId(1));
+  const auto built = c.trace_store_stats();
+  std::ostringstream os;
+  save_tracebin(os, c);
+  std::istringstream is(os.str());
+  const auto loaded = load_tracebin(is).trace_store_stats();
+  ASSERT_TRUE(built.materialized());
+  EXPECT_EQ(built.peak_bytes, loaded.peak_bytes);
+  EXPECT_EQ(built.clocks_interned, loaded.clocks_interned);
+  EXPECT_EQ(built.delta_entries, loaded.delta_entries);
+  EXPECT_EQ(built.delta_ratio, loaded.delta_ratio);
+}
+
+TEST(TraceStore, VerifiedLoadRejectsCausalCycle) {
+  // send 0->1, receive; send 1->0, receive.
+  ComputationBuilder b(2);
+  b.receive(b.send(ProcessId(0), ProcessId(1)));
+  b.receive(b.send(ProcessId(1), ProcessId(0)));
+  std::ostringstream os;
+  save_tracebin(os, b.build());
+  std::string bytes = os.str();
+  const auto rd_u64 = [&](std::size_t off) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i)
+      v |= static_cast<std::uint64_t>(
+               static_cast<unsigned char>(bytes[off + i]))
+           << (8 * i);
+    return v;
+  };
+  const auto wr_u32 = [&](std::uint64_t off, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i)
+      bytes[static_cast<std::size_t>(off) + i] =
+          static_cast<char>((v >> (8 * i)) & 0xff);
+  };
+  // P0 now receives m1 before it sends m0: events [0x80000001, 0],
+  // m0.send_state = 2, m1.recv_state = 2. Every cross-link still matches,
+  // so only the causal replay sees the cycle.
+  const std::uint64_t off_events = rd_u64(88);
+  const std::uint64_t off_messages = rd_u64(104);
+  wr_u32(off_events, 0x80000001u);
+  wr_u32(off_events + 4, 0);
+  wr_u32(off_messages + 4, 2);       // m0.send_state
+  wr_u32(off_messages + 16 + 12, 2);  // m1.recv_state
+
+  std::istringstream verified(bytes);
+  try {
+    (void)TraceStore::load(verified);
+    FAIL() << "expected a parse error";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("wcp-tracebin parse error"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("deadlock under causal replay"), std::string::npos)
+        << what;
+  }
+  TraceLoadOptions trusted;
+  trusted.verify_replay = false;
+  std::istringstream unchecked(bytes);
+  EXPECT_NO_THROW((void)TraceStore::load(unchecked, trusted));
 }
 
 // Corrupting any structural byte of a wcp-tracebin stream must produce a
@@ -275,10 +340,9 @@ TEST_F(TracebinCorruption, RejectsCorruptedColumns) {
     bad[pos] ^= 0x3f;
     std::istringstream is(bad);
     try {
-      const TraceStore s = TraceStore::load(is);
       // A flip inside the predicate-bit column changes data, not structure,
       // and legitimately loads; everything else must throw.
-      (void)s.to_computation();
+      (void)TraceStore::load(is);
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find("wcp-tracebin"), std::string::npos)
           << "pos " << pos << ": " << e.what();
@@ -350,7 +414,6 @@ TEST_F(MappedTracebin, MappedLoadMatchesHeapLoadExactly) {
   std::istringstream is(bytes_);
   const auto heap = load_tracebin(is);
 
-  ASSERT_TRUE(mapped.store_backed());
   if constexpr (std::endian::native == std::endian::little) {
     EXPECT_TRUE(mapped.trace_store().mapped());
   }
